@@ -50,8 +50,7 @@ type FeedbackConfig = mis.FeedbackConfig
 // channel noise (Loss, Spurious), adversarial wake-up schedules, and
 // transient outages with resume-or-reset recovery. The zero value is
 // the perfect world. Every fault feature is engine-agnostic — noisy
-// runs execute on all four simulator engines with bit-identical
-// results.
+// runs execute on both simulator engines with bit-identical results.
 type FaultSpec = fault.Spec
 
 // FaultWake declares a wake-up schedule inside a FaultSpec: kind
@@ -125,27 +124,20 @@ func Verify(g *Graph, set []bool) error { return graph.VerifyMIS(g, set) }
 type Engine = sim.Engine
 
 const (
-	// EngineAuto picks the bitset engine on graphs dense enough for
-	// word-parallel delivery to win, the scalar engine otherwise. This
-	// is the default.
+	// EngineAuto picks EngineColumnar on graphs whose dense matrix fits
+	// the memory budget and that are dense enough for word-parallel
+	// delivery to win, EngineSparse otherwise. This is the default.
 	EngineAuto = sim.EngineAuto
-	// EngineScalar walks adjacency lists edge-by-edge.
-	EngineScalar = sim.EngineScalar
-	// EngineBitset delivers beeps via packed adjacency-row bitsets, 64
-	// listeners per word operation (O(n²/8) bytes of memory).
-	EngineBitset = sim.EngineBitset
-	// EngineColumnar runs the whole round loop on packed words: a bulk
-	// algorithm kernel draws beeps from struct-of-arrays state, node
-	// masks are bitsets end-to-end, and propagation is sharded across
-	// cores (see WithShards). The fastest engine for every algorithm
-	// that has a kernel; EngineAuto picks it whenever it applies.
+	// EngineColumnar runs the round loop over the dense packed
+	// adjacency matrix (O(n²/8) bytes): one OR informs 64 listeners,
+	// node masks are bitsets end-to-end, and propagation is sharded
+	// across cores (see WithShards).
 	EngineColumnar = sim.EngineColumnar
-	// EngineSparse runs the columnar round loop over the O(n + m) CSR
+	// EngineSparse runs the same round loop over the O(n + m) CSR
 	// representation instead of the dense matrix, walking only the
 	// adjacency rows of current emitters (sharded by destination range,
 	// see WithShards). Memory scales with edges rather than n², which
-	// is how million-node graphs run; EngineAuto picks it whenever the
-	// matrix would blow the memory budget but the edge array fits.
+	// is how million-node graphs run.
 	EngineSparse = sim.EngineSparse
 )
 
@@ -282,8 +274,7 @@ func WithEngine(e Engine) Option {
 // propagation serial. Results are bit-identical for every value — shard
 // workers own disjoint destination word ranges — so this is purely a
 // performance knob. Combining a non-zero value with
-// WithConcurrentEngine is an error, as is pinning an engine that does
-// not shard propagation.
+// WithConcurrentEngine is an error.
 func WithShards(shards int) Option {
 	return func(o *solveOptions) { o.shards = shards }
 }
@@ -372,9 +363,6 @@ func Solve(g *Graph, algo Algorithm, opts ...Option) (*Result, error) {
 				return nil, err
 			}
 			return &Result{InMIS: rr.InMIS, Rounds: rr.Rounds, TotalBeeps: rr.TotalBeeps}, nil
-		}
-		if o.shards != 0 && o.engine != EngineAuto && o.engine != EngineColumnar && o.engine != EngineSparse {
-			return nil, fmt.Errorf("beepmis: WithShards(%d) conflicts with WithEngine(%v) (only the columnar and sparse engines shard propagation)", o.shards, o.engine)
 		}
 		simOpts := sim.Options{
 			MaxRounds:    o.maxRounds,

@@ -177,14 +177,15 @@ func BenchmarkEngineConcurrent(b *testing.B) {
 	}
 }
 
-// Engine scaling — the scalar adjacency-walk engine against the
-// word-parallel bitset engine and the columnar kernel engine on large
-// dense graphs, where one OR delivers a beep to 64 listeners at once.
-// All engines produce bit-identical results (see TestEngineEquivalence);
-// these benchmarks quantify the wall-clock gaps at n ≥ 10⁵, far beyond
-// the paper's n ≤ 1000 evaluation sizes. Graphs are generated once per
-// process and the packed adjacency matrix is built outside the timer,
-// so the measurement isolates the simulation loop.
+// Engine scaling — the CSR-walking sparse engine against the
+// word-parallel columnar engine, with and without the algorithm's bulk
+// kernel, on large dense graphs, where one OR delivers a beep to 64
+// listeners at once. All engines produce bit-identical results (see
+// TestEngineEquivalence); these benchmarks quantify the wall-clock gaps
+// at n ≥ 10⁵, far beyond the paper's n ≤ 1000 evaluation sizes. Graphs
+// are generated once per process and the adjacency representation is
+// built outside the timer, so the measurement isolates the simulation
+// loop.
 var (
 	gnp100kOnce sync.Once
 	gnp100k     *graph.Graph
@@ -193,7 +194,7 @@ var (
 )
 
 // gnp100kGraph is G(10⁵, 0.05): 2.5·10⁸ edges, average degree 5000 —
-// the "millions of beeps per round" regime the scalar engine crawls in.
+// the "millions of beeps per round" regime.
 func gnp100kGraph() *graph.Graph {
 	gnp100kOnce.Do(func() { gnp100k = graph.GNP(100000, 0.05, rng.New(10)) })
 	return gnp100k
@@ -206,17 +207,22 @@ func gnp20kDenseGraph() *graph.Graph {
 	return gnp20k
 }
 
-func benchEngine(b *testing.B, g *graph.Graph, engine sim.Engine, shards int) {
+// benchEngine times runs of engine at the given shard count; kernel
+// selects the feedback bulk kernel over the per-node adapter.
+func benchEngine(b *testing.B, g *graph.Graph, engine sim.Engine, shards int, kernel bool) {
 	b.Helper()
 	factory, bulk, err := mis.NewFactories(mis.Spec{Name: mis.NameFeedback})
 	if err != nil {
 		b.Fatal(err)
 	}
 	opts := sim.Options{Engine: engine, Shards: shards}
-	if engine != sim.EngineScalar {
-		g.Matrix() // build (and cache) the packed rows outside the timer
+	// Build (and cache) the representation outside the timer.
+	if engine == sim.EngineSparse {
+		g.CSR()
+	} else {
+		g.Matrix()
 	}
-	if engine == sim.EngineColumnar {
+	if kernel {
 		opts.Bulk = bulk
 	}
 	var rounds float64
@@ -231,39 +237,38 @@ func benchEngine(b *testing.B, g *graph.Graph, engine sim.Engine, shards int) {
 	b.ReportMetric(rounds/float64(b.N), "rounds/run")
 }
 
-func BenchmarkEngineScalarGNP100k(b *testing.B) {
-	benchEngine(b, gnp100kGraph(), sim.EngineScalar, 0)
+func BenchmarkEngineSparseGNP100k(b *testing.B) {
+	benchEngine(b, gnp100kGraph(), sim.EngineSparse, 1, true)
 }
 
-func BenchmarkEngineBitsetGNP100k(b *testing.B) {
-	benchEngine(b, gnp100kGraph(), sim.EngineBitset, 0)
+// The per-node variant drives the automata through the adapter: the
+// cost of an algorithm without a bulk kernel.
+func BenchmarkEngineColumnarPerNodeGNP100k(b *testing.B) {
+	benchEngine(b, gnp100kGraph(), sim.EngineColumnar, 1, false)
 }
 
-// The columnar engine at one shard isolates the kernel-fusion and
-// bitset-round-loop win over EngineBitset; the sharded variant adds
-// multi-core propagation on top.
 func BenchmarkEngineColumnarGNP100k(b *testing.B) {
-	benchEngine(b, gnp100kGraph(), sim.EngineColumnar, 1)
+	benchEngine(b, gnp100kGraph(), sim.EngineColumnar, 1, true)
 }
 
 func BenchmarkEngineColumnarShardedGNP100k(b *testing.B) {
-	benchEngine(b, gnp100kGraph(), sim.EngineColumnar, 0)
+	benchEngine(b, gnp100kGraph(), sim.EngineColumnar, 0, true)
 }
 
-func BenchmarkEngineScalarGNP20kDense(b *testing.B) {
-	benchEngine(b, gnp20kDenseGraph(), sim.EngineScalar, 0)
+func BenchmarkEngineSparseGNP20kDense(b *testing.B) {
+	benchEngine(b, gnp20kDenseGraph(), sim.EngineSparse, 1, true)
 }
 
-func BenchmarkEngineBitsetGNP20kDense(b *testing.B) {
-	benchEngine(b, gnp20kDenseGraph(), sim.EngineBitset, 0)
+func BenchmarkEngineColumnarPerNodeGNP20kDense(b *testing.B) {
+	benchEngine(b, gnp20kDenseGraph(), sim.EngineColumnar, 1, false)
 }
 
 func BenchmarkEngineColumnarGNP20kDense(b *testing.B) {
-	benchEngine(b, gnp20kDenseGraph(), sim.EngineColumnar, 1)
+	benchEngine(b, gnp20kDenseGraph(), sim.EngineColumnar, 1, true)
 }
 
 func BenchmarkEngineColumnarShardedGNP20kDense(b *testing.B) {
-	benchEngine(b, gnp20kDenseGraph(), sim.EngineColumnar, 0)
+	benchEngine(b, gnp20kDenseGraph(), sim.EngineColumnar, 0, true)
 }
 
 // Centralised baseline — the trivial sequential scan from §1.

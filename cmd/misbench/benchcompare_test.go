@@ -190,7 +190,7 @@ func TestBenchCompareGoldenDiff(t *testing.T) {
 // baseline's times halved) must fail.
 func TestBenchCompareEndToEnd(t *testing.T) {
 	var out bytes.Buffer
-	args := []string{"-bench", "-benchn", "300", "-benchp", "0.5", "-benchruns", "1", "-shards", "1", "-json"}
+	args := []string{"-bench", "-benchn", "300", "-benchp", "0.5", "-benchruns", "5", "-shards", "1", "-json"}
 	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestBenchCompareEndToEnd(t *testing.T) {
 	path := writeBaseline(t, records)
 	// Same machine, same workload, generous tolerance: must pass.
 	var diffOut bytes.Buffer
-	pass := []string{"-bench", "-benchn", "300", "-benchp", "0.5", "-benchruns", "1", "-shards", "1", "-compare", path, "-tolerance", "25"}
+	pass := []string{"-bench", "-benchn", "300", "-benchp", "0.5", "-benchruns", "5", "-shards", "1", "-compare", path, "-tolerance", "25"}
 	if err := run(pass, &diffOut); err != nil {
 		t.Fatalf("self-compare at huge tolerance failed: %v\n%s", err, diffOut.String())
 	}
@@ -220,7 +220,7 @@ func TestBenchCompareEndToEnd(t *testing.T) {
 	}
 	slowPath := writeBaseline(t, records)
 	diffOut.Reset()
-	fail := []string{"-bench", "-benchn", "300", "-benchp", "0.5", "-benchruns", "1", "-shards", "1", "-compare", slowPath, "-tolerance", "0.5"}
+	fail := []string{"-bench", "-benchn", "300", "-benchp", "0.5", "-benchruns", "5", "-shards", "1", "-compare", slowPath, "-tolerance", "0.5"}
 	err := run(fail, &diffOut)
 	if err == nil {
 		t.Fatalf("injected 2× slowdown passed the gate:\n%s", diffOut.String())
@@ -247,9 +247,8 @@ func TestBenchCompareBadBaseline(t *testing.T) {
 }
 
 // TestBenchRecordEffectiveShards pins how records stamp the shard
-// count: -shards 0 resolves to GOMAXPROCS for the engines that shard
-// (so "-shards 0" and "-shards GOMAXPROCS" key identically in the
-// regression gate), while the inherently serial engines always stamp 1.
+// count: -shards 0 resolves to GOMAXPROCS (so "-shards 0" and
+// "-shards GOMAXPROCS" key identically in the regression gate).
 func TestBenchRecordEffectiveShards(t *testing.T) {
 	old := goruntime.GOMAXPROCS(3)
 	defer goruntime.GOMAXPROCS(old)
@@ -261,15 +260,11 @@ func TestBenchRecordEffectiveShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) != 4 {
-		t.Fatalf("got %d records, want 4", len(records))
+	if len(records) != 2 {
+		t.Fatalf("got %d records, want 2", len(records))
 	}
 	for _, r := range records {
-		want := 1
-		if r.Engine == "columnar" || r.Engine == "sparse" {
-			want = 3
-		}
-		if r.Shards != want {
+		if want := 3; r.Shards != want {
 			t.Fatalf("%s record stamps shards=%d under GOMAXPROCS=3 with -shards 0, want %d", r.Engine, r.Shards, want)
 		}
 		if r.GoMaxProcs != 3 {

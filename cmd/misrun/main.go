@@ -64,8 +64,8 @@ func runTo(args []string, stdout, stderr io.Writer) error {
 		algo      = fs.String("algo", "feedback", "algorithm (see -algos)")
 		algos     = fs.Bool("algos", false, "list algorithms and exit")
 		seed      = fs.Uint64("seed", 1, "random seed (graph generation and run)")
-		engine    = fs.String("engine", "sim", "execution engine: sim (auto-selected simulator), concurrent, or a simulator engine pin (scalar, bitset, columnar, sparse)")
-		shards    = fs.Int("shards", 0, "worker shards for the columnar/sparse round phases (0 = GOMAXPROCS; output is identical for any value)")
+		engine    = fs.String("engine", "sim", "execution engine: sim (auto-selected simulator), concurrent, or a simulator engine pin (columnar, sparse)")
+		shards    = fs.Int("shards", 0, "worker shards for the simulator's round phases (0 = GOMAXPROCS; output is identical for any value)")
 		showSet   = fs.Bool("show-set", false, "print the selected vertex set")
 		maxRounds = fs.Int("max-rounds", 0, "cap on synchronous rounds (0 = default)")
 		faultsDoc = fs.String("faults", "", `fault-model JSON (e.g. '{"loss":0.05,"spurious":0.01,"wake":{"kind":"uniform","window":12}}'): channel noise, wake schedules, outages`)
@@ -138,10 +138,10 @@ func runTo(args []string, stdout, stderr io.Writer) error {
 	case "concurrent":
 		opts = append(opts, beepmis.WithConcurrentEngine())
 	default:
-		// A simulator engine pin: scalar, bitset, columnar, or sparse.
+		// A simulator engine pin: columnar or sparse.
 		pin, err := sim.ParseEngine(*engine)
 		if err != nil {
-			return fmt.Errorf("unknown engine %q (want sim, concurrent, or a simulator engine: scalar, bitset, columnar, sparse)", *engine)
+			return fmt.Errorf("%w (want sim, concurrent, or a simulator engine: columnar, sparse)", err)
 		}
 		opts = append(opts, beepmis.WithEngine(pin))
 	}

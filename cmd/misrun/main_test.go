@@ -65,7 +65,7 @@ func TestRunConcurrentEngine(t *testing.T) {
 // -engine flag).
 func TestRunEnginePins(t *testing.T) {
 	outputs := map[string]string{}
-	for _, engine := range []string{"sim", "auto", "scalar", "bitset", "columnar", "sparse"} {
+	for _, engine := range []string{"sim", "auto", "columnar", "sparse"} {
 		var out bytes.Buffer
 		if err := run([]string{"-graph", "gnp", "-n", "60", "-algo", "feedback", "-seed", "5", "-engine", engine}, &out); err != nil {
 			t.Fatalf("-engine %s: %v", engine, err)
@@ -84,6 +84,13 @@ func TestRunEnginePins(t *testing.T) {
 	for engine, got := range outputs {
 		if got != outputs["sim"] {
 			t.Fatalf("-engine %s output diverged from sim:\n%s\nvs\n%s", engine, got, outputs["sim"])
+		}
+	}
+	// The retired pins fail with an error naming the replacement.
+	for engine, replacement := range map[string]string{"scalar": "sparse", "bitset": "columnar"} {
+		err := run([]string{"-graph", "gnp", "-n", "60", "-engine", engine}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), replacement) {
+			t.Fatalf("-engine %s: err %v, want one naming %q", engine, err, replacement)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func TestScenarioHashFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Engine/shards/workers are performance knobs; the hash must not move.
-	tuned := strings.Replace(scenarioDoc, `"trials": 4,`, `"trials": 4, "engine": "scalar", "workers": 2,`, 1)
+	tuned := strings.Replace(scenarioDoc, `"trials": 4,`, `"trials": 4, "engine": "sparse", "workers": 2,`, 1)
 	if err := run([]string{"-scenario", writeScenario(t, tuned), "-hash"}, &b); err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,10 @@ package beepmis
 import "testing"
 
 // TestEngineEquivalence asserts the public seed-equivalence contract:
-// for every beeping algorithm, graph family, seed, and shard count, all
-// engines — scalar, bitset, and columnar — produce identical Results.
+// for every beeping algorithm, graph family, seed, and shard count, both
+// engines produce the same Results as the default (auto) run. The
+// engine-internal matrix against the scalar oracle lives in
+// internal/sim.
 // The families mirror the repository's generator catalogue; sizes
 // straddle 64-bit word boundaries so packing bugs cannot hide.
 func TestEngineEquivalence(t *testing.T) {
@@ -28,7 +30,6 @@ func TestEngineEquivalence(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"bitset", []Option{WithEngine(EngineBitset)}},
 		{"columnar-1", []Option{WithEngine(EngineColumnar), WithShards(1)}},
 		{"columnar-3", []Option{WithEngine(EngineColumnar), WithShards(3)}},
 		{"columnar-all", []Option{WithEngine(EngineColumnar)}},
@@ -41,11 +42,11 @@ func TestEngineEquivalence(t *testing.T) {
 		for _, algo := range algos {
 			for _, seed := range seeds {
 				t.Run(fam.name+"/"+string(algo), func(t *testing.T) {
-					scalar, err := Solve(fam.g, algo, WithSeed(seed), WithEngine(EngineScalar))
+					ref, err := Solve(fam.g, algo, WithSeed(seed))
 					if err != nil {
-						t.Fatalf("scalar: %v", err)
+						t.Fatalf("auto: %v", err)
 					}
-					if err := Verify(fam.g, scalar.InMIS); err != nil {
+					if err := Verify(fam.g, ref.InMIS); err != nil {
 						t.Fatalf("seed %d: invalid MIS: %v", seed, err)
 					}
 					for _, variant := range variants {
@@ -53,14 +54,14 @@ func TestEngineEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", variant.name, err)
 						}
-						if scalar.Rounds != res.Rounds {
-							t.Fatalf("seed %d %s: Rounds %d vs %d", seed, variant.name, scalar.Rounds, res.Rounds)
+						if ref.Rounds != res.Rounds {
+							t.Fatalf("seed %d %s: Rounds %d vs %d", seed, variant.name, ref.Rounds, res.Rounds)
 						}
-						if scalar.TotalBeeps != res.TotalBeeps {
-							t.Fatalf("seed %d %s: TotalBeeps %d vs %d", seed, variant.name, scalar.TotalBeeps, res.TotalBeeps)
+						if ref.TotalBeeps != res.TotalBeeps {
+							t.Fatalf("seed %d %s: TotalBeeps %d vs %d", seed, variant.name, ref.TotalBeeps, res.TotalBeeps)
 						}
-						for v := range scalar.InMIS {
-							if scalar.InMIS[v] != res.InMIS[v] {
+						for v := range ref.InMIS {
+							if ref.InMIS[v] != res.InMIS[v] {
 								t.Fatalf("seed %d %s: InMIS differs at vertex %d", seed, variant.name, v)
 							}
 						}
@@ -74,10 +75,9 @@ func TestEngineEquivalence(t *testing.T) {
 // TestEngineEquivalenceUnderFaults extends the public seed-equivalence
 // contract to the fault layer: for every fault-spec combination —
 // channel noise, adversarial wake-up, transient outages with resets —
-// all four simulator engines at several shard counts produce identical
-// Results and RobustnessReports. This is the PR's acceptance matrix at
-// the API level; the per-engine trace-level matrix lives in
-// internal/sim.
+// both simulator engines at several shard counts produce the same
+// Results and RobustnessReports as the default run. The per-engine
+// trace-level matrix lives in internal/sim.
 func TestEngineEquivalenceUnderFaults(t *testing.T) {
 	g := GNP(170, 0.25, 6)
 	specs := []struct {
@@ -102,7 +102,6 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"bitset", []Option{WithEngine(EngineBitset)}},
 		{"columnar-1", []Option{WithEngine(EngineColumnar), WithShards(1)}},
 		{"columnar-3", []Option{WithEngine(EngineColumnar), WithShards(3)}},
 		{"sparse-1", []Option{WithEngine(EngineSparse), WithShards(1)}},
@@ -111,11 +110,11 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 	for _, fc := range specs {
 		for _, algo := range []Algorithm{AlgorithmFeedback, AlgorithmGlobalSweep} {
 			for _, seed := range []uint64{1, 99} {
-				scalar, err := Solve(g, algo, WithSeed(seed), WithEngine(EngineScalar), WithFaults(fc.spec))
+				ref, err := Solve(g, algo, WithSeed(seed), WithFaults(fc.spec))
 				if err != nil {
-					t.Fatalf("%s/%s scalar: %v", fc.name, algo, err)
+					t.Fatalf("%s/%s auto: %v", fc.name, algo, err)
 				}
-				if scalar.Robustness == nil {
+				if ref.Robustness == nil {
 					t.Fatalf("%s/%s: faulty run returned no RobustnessReport", fc.name, algo)
 				}
 				for _, variant := range variants {
@@ -123,25 +122,25 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%s/%s: %v", fc.name, algo, variant.name, err)
 					}
-					if scalar.Rounds != res.Rounds || scalar.TotalBeeps != res.TotalBeeps {
+					if ref.Rounds != res.Rounds || ref.TotalBeeps != res.TotalBeeps {
 						t.Fatalf("%s/%s/%s seed %d: rounds %d vs %d, beeps %d vs %d",
-							fc.name, algo, variant.name, seed, scalar.Rounds, res.Rounds, scalar.TotalBeeps, res.TotalBeeps)
+							fc.name, algo, variant.name, seed, ref.Rounds, res.Rounds, ref.TotalBeeps, res.TotalBeeps)
 					}
-					for v := range scalar.InMIS {
-						if scalar.InMIS[v] != res.InMIS[v] {
+					for v := range ref.InMIS {
+						if ref.InMIS[v] != res.InMIS[v] {
 							t.Fatalf("%s/%s/%s seed %d: InMIS differs at vertex %d", fc.name, algo, variant.name, seed, v)
 						}
 					}
-					if scalar.Robustness.StableRound != res.Robustness.StableRound ||
-						scalar.Robustness.IndependenceViolations != res.Robustness.IndependenceViolations ||
-						len(scalar.Robustness.Uncovered) != len(res.Robustness.Uncovered) {
+					if ref.Robustness.StableRound != res.Robustness.StableRound ||
+						ref.Robustness.IndependenceViolations != res.Robustness.IndependenceViolations ||
+						len(ref.Robustness.Uncovered) != len(res.Robustness.Uncovered) {
 						t.Fatalf("%s/%s/%s seed %d: robustness reports differ: %+v vs %+v",
-							fc.name, algo, variant.name, seed, scalar.Robustness, res.Robustness)
+							fc.name, algo, variant.name, seed, ref.Robustness, res.Robustness)
 					}
-					for i, v := range scalar.Robustness.Uncovered {
+					for i, v := range ref.Robustness.Uncovered {
 						if res.Robustness.Uncovered[i] != v {
 							t.Fatalf("%s/%s/%s seed %d: uncovered sets differ: %v vs %v",
-								fc.name, algo, variant.name, seed, scalar.Robustness.Uncovered, res.Robustness.Uncovered)
+								fc.name, algo, variant.name, seed, ref.Robustness.Uncovered, res.Robustness.Uncovered)
 						}
 					}
 				}
@@ -150,17 +149,15 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 	}
 }
 
-// TestShardsConflicts pins the explicit rejections of WithShards
-// combinations that have no sharded propagation to configure.
+// TestShardsConflicts pins the explicit rejection of WithShards with
+// the concurrent runtime, which has no sharded propagation to
+// configure, and that shards compose with every simulator engine.
 func TestShardsConflicts(t *testing.T) {
 	g := GNP(40, 0.3, 2)
 	if _, err := Solve(g, AlgorithmFeedback, WithSeed(1), WithShards(4), WithConcurrentEngine()); err == nil {
 		t.Fatal("WithShards + WithConcurrentEngine was silently accepted")
 	}
-	if _, err := Solve(g, AlgorithmFeedback, WithSeed(1), WithShards(4), WithEngine(EngineScalar)); err == nil {
-		t.Fatal("WithShards + WithEngine(EngineScalar) was silently accepted")
-	}
-	// Shards compose with the explicit sharded-engine pins and with auto.
+	// Shards compose with both engine pins and with auto.
 	if _, err := Solve(g, AlgorithmFeedback, WithSeed(1), WithShards(4), WithEngine(EngineColumnar)); err != nil {
 		t.Fatalf("WithShards + WithEngine(EngineColumnar): %v", err)
 	}
@@ -177,7 +174,7 @@ func TestShardsConflicts(t *testing.T) {
 // simulator engine to pin.
 func TestEnginePinConflictsWithConcurrent(t *testing.T) {
 	g := GNP(40, 0.3, 2)
-	_, err := Solve(g, AlgorithmFeedback, WithSeed(1), WithEngine(EngineBitset), WithConcurrentEngine())
+	_, err := Solve(g, AlgorithmFeedback, WithSeed(1), WithEngine(EngineSparse), WithConcurrentEngine())
 	if err == nil {
 		t.Fatal("WithEngine + WithConcurrentEngine was silently accepted")
 	}
@@ -195,7 +192,7 @@ func TestEngineDefaultIsAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []Engine{EngineAuto, EngineScalar, EngineBitset, EngineColumnar, EngineSparse} {
+	for _, e := range []Engine{EngineAuto, EngineColumnar, EngineSparse} {
 		res, err := Solve(g, AlgorithmFeedback, WithSeed(5), WithEngine(e))
 		if err != nil {
 			t.Fatalf("engine %v: %v", e, err)

@@ -41,12 +41,13 @@ func TestEngineEquivalenceMultiCore(t *testing.T) {
 			if fc.faults != nil {
 				base = append(base, WithFaults(*fc.faults))
 			}
-			scalar, err := Solve(g, AlgorithmFeedback, append([]Option{WithEngine(EngineScalar)}, base...)...)
+			// The serial auto run is the reference.
+			ref, err := Solve(g, AlgorithmFeedback, append([]Option{WithShards(1)}, base...)...)
 			if err != nil {
-				t.Fatalf("scalar: %v", err)
+				t.Fatalf("auto/shards=1: %v", err)
 			}
 			if fc.faults == nil {
-				if err := Verify(g, scalar.InMIS); err != nil {
+				if err := Verify(g, ref.InMIS); err != nil {
 					t.Fatalf("invalid MIS: %v", err)
 				}
 			}
@@ -58,12 +59,12 @@ func TestEngineEquivalenceMultiCore(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if scalar.Rounds != res.Rounds || scalar.TotalBeeps != res.TotalBeeps {
+					if ref.Rounds != res.Rounds || ref.TotalBeeps != res.TotalBeeps {
 						t.Fatalf("%s: rounds %d vs %d, beeps %d vs %d",
-							name, scalar.Rounds, res.Rounds, scalar.TotalBeeps, res.TotalBeeps)
+							name, ref.Rounds, res.Rounds, ref.TotalBeeps, res.TotalBeeps)
 					}
-					for v := range scalar.InMIS {
-						if scalar.InMIS[v] != res.InMIS[v] {
+					for v := range ref.InMIS {
+						if ref.InMIS[v] != res.InMIS[v] {
 							t.Fatalf("%s: InMIS differs at vertex %d", name, v)
 						}
 					}

@@ -25,7 +25,7 @@ import (
 )
 
 // DefaultScope lists the packages whose results must be pure
-// functions of their inputs: the four engines' round loops and
+// functions of their inputs: the simulator's round loop and
 // kernels, the fault layer, graph construction, and scenario
 // canonicalization (whose output feeds the content hash).
 var DefaultScope = []string{

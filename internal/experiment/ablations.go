@@ -150,15 +150,6 @@ func runAblateLoss(cfg Config) (*Result, error) {
 		XLabel: "loss probability",
 		YLabel: "time steps / violation %",
 	}
-	// The word-parallel engines refuse BeepLoss (loss draws happen per
-	// edge), so a bitset or columnar pin cannot be honored here; say so
-	// instead of silently substituting, and let EngineAuto fall back to
-	// the scalar exchange on every lossy point.
-	engine := cfg.Engine
-	if engine == sim.EngineBitset || engine == sim.EngineColumnar {
-		res.Notes = append(res.Notes, fmt.Sprintf("engine pin %q ignored: lossy exchanges require the scalar engine", engine))
-		engine = sim.EngineAuto
-	}
 	roundsSeries := Series{Name: "time steps"}
 	violSeries := Series{Name: "independence violations (%)"}
 	for li, loss := range losses {
@@ -167,7 +158,6 @@ func runAblateLoss(cfg Config) (*Result, error) {
 		err := ForTrials(cfg.EffectiveWorkers(), trials, func(trial int) error {
 			g := graph.GNP(n, 0.5, master.Stream(trialKey(li, trial, 1)))
 			opts := cfg.simOpts(bulk)
-			opts.Engine = engine
 			opts.BeepLoss = loss
 			r, err := sim.Run(g, factory, master.Stream(trialKey(li, trial, 2)), opts)
 			if err != nil {
@@ -199,9 +189,8 @@ func runAblateLoss(cfg Config) (*Result, error) {
 
 // runAblateNoise is the fault-layer counterpart of runAblateLoss: loss
 // is drawn per (listener, round) through internal/fault's noisy channel
-// rather than per edge, which every engine executes — so the sweep runs
-// word-parallel (columnar/sparse under EngineAuto) instead of being
-// pinned to the scalar walk. The workload is a bounded-degree G(n, 8/n)
+// rather than per edge, so its noise phase needs no serial edge walk.
+// The workload is a bounded-degree G(n, 8/n)
 // — the wireless/biological regime the paper's robustness narrative is
 // about; per-listener noise erases a listener's whole aggregate signal,
 // so on dense graphs even tiny loss rates shatter independence (the

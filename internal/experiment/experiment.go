@@ -38,8 +38,7 @@ type Config struct {
 	// trial order.
 	Workers int
 	// Engine selects the simulation engine for every trial (the zero
-	// value is sim.EngineAuto). Lossy-exchange experiments always use
-	// the scalar path regardless, since per-edge loss draws need it.
+	// value is sim.EngineAuto).
 	Engine sim.Engine
 	// Shards bounds the columnar and sparse engines' propagation
 	// goroutines per trial; 0 means GOMAXPROCS, 1 keeps propagation

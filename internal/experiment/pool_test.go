@@ -76,34 +76,38 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // TestEngineInvariance pins experiment outputs across simulation
-// engines and shard counts: scalar, bitset, and columnar trials must
-// aggregate identically.
+// engines and shard counts: auto, columnar, and sparse trials must
+// aggregate identically — including the per-edge loss sweep, whose
+// lossy exchange runs on every engine.
 func TestEngineInvariance(t *testing.T) {
 	base := Config{Seed: 5, Trials: 3, MaxN: 120}
-	var first *Result
-	for _, tc := range []struct {
-		name   string
-		engine sim.Engine
-		shards int
-	}{
-		{"scalar", sim.EngineScalar, 0},
-		{"bitset", sim.EngineBitset, 0},
-		{"columnar-serial", sim.EngineColumnar, 1},
-		{"columnar-sharded", sim.EngineColumnar, 3},
-	} {
-		cfg := base
-		cfg.Engine = tc.engine
-		cfg.Shards = tc.shards
-		res, err := Run("fig3", cfg)
-		if err != nil {
-			t.Fatalf("engine %s: %v", tc.name, err)
-		}
-		if first == nil {
-			first = res
-			continue
-		}
-		if !reflect.DeepEqual(first, res) {
-			t.Fatalf("fig3 differs between scalar and %s engines", tc.name)
+	for _, exp := range []string{"fig3", "ablate-loss"} {
+		var first *Result
+		for _, tc := range []struct {
+			name   string
+			engine sim.Engine
+			shards int
+		}{
+			{"auto", sim.EngineAuto, 0},
+			{"columnar-serial", sim.EngineColumnar, 1},
+			{"columnar-sharded", sim.EngineColumnar, 3},
+			{"sparse-serial", sim.EngineSparse, 1},
+			{"sparse-sharded", sim.EngineSparse, 3},
+		} {
+			cfg := base
+			cfg.Engine = tc.engine
+			cfg.Shards = tc.shards
+			res, err := Run(exp, cfg)
+			if err != nil {
+				t.Fatalf("%s engine %s: %v", exp, tc.name, err)
+			}
+			if first == nil {
+				first = res
+				continue
+			}
+			if !reflect.DeepEqual(first, res) {
+				t.Fatalf("%s differs between auto and %s engines", exp, tc.name)
+			}
 		}
 	}
 }

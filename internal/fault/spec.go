@@ -19,8 +19,8 @@
 // master seed — channel noise from a per-(node, round) stream, uniform
 // wake-up from a single schedule stream read in node order before the
 // round loop starts. No draw depends on engine, shard count, or
-// traversal order, which is what lets the scalar, bitset, columnar, and
-// sparse engines stay bit-identical under any Spec (enforced by the
+// traversal order, which is what lets the columnar and sparse engines,
+// at any shard count, stay bit-identical under any Spec (enforced by the
 // engine-equivalence matrices in internal/sim and the repository root).
 package fault
 
@@ -91,10 +91,10 @@ func (o Outage) end() int { return o.From + o.For }
 
 // Spec declares a run's fault model. The zero value (and a nil *Spec)
 // is the perfect world: lossless channels, synchronous start, no
-// outages. Unlike the legacy per-edge sim.Options.BeepLoss — which
-// draws one loss coin per (beeper, listener) edge in adjacency order
-// and therefore only the scalar engine can execute — every Spec field
-// is engine-agnostic, so noisy workloads run word-parallel and sparse.
+// outages. Unlike the per-edge sim.Options.BeepLoss — which draws one
+// loss coin per (beeper, listener) edge in adjacency order, so its
+// exchange is one serial walk — every Spec field draws per (node,
+// round), so noisy workloads keep the sharded exchanges.
 type Spec struct {
 	// Loss is the probability that a listener which would have heard at
 	// least one beep in the first exchange hears silence instead, drawn

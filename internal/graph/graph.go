@@ -23,7 +23,7 @@ type Graph struct {
 	m   int // number of edges
 
 	// mat is the lazily built packed adjacency-matrix form used by the
-	// bitset simulation engine; matOnce guards its one-time construction
+	// columnar simulation engine; matOnce guards its one-time construction
 	// so concurrent readers stay safe.
 	matOnce sync.Once
 	mat     *AdjacencyMatrix

@@ -15,10 +15,9 @@ const (
 	// PhaseEligibleDraw is eligible-mask construction plus the kernel's
 	// (or automata's) beep draws for every eligible node.
 	PhaseEligibleDraw
-	// PhaseBeepTally is the per-beeper accounting sweep (res.Beeps).
-	// The per-node engines fuse it into their draw loop and record it
-	// as zero; the columnar loop separates it, attributing the sharded
-	// path's tally at its critical path (slowest shard).
+	// PhaseBeepTally is the per-beeper accounting sweep (res.Beeps),
+	// timed apart from the draws; the sharded path's tally is
+	// attributed at its critical path (slowest shard).
 	PhaseBeepTally
 	// PhasePropagate is the first exchange: delivering beeps to
 	// neighbours.

@@ -32,15 +32,14 @@ func TestParseRejectsMalformed(t *testing.T) {
 		{"p negative", `{"graph":{"family":"gnp","n":10,"p":-0.5},"algorithm":"feedback"}`, "outside"},
 		{"p above one", `{"graph":{"family":"gnp","n":10,"p":1.5},"algorithm":"feedback"}`, "outside"},
 		{"too many edges", `{"graph":{"family":"gnp","n":1000000,"p":0.9},"algorithm":"feedback"}`, "edges"},
-		{"dense pin infeasible", `{"graph":{"family":"gnp","n":1000000,"p":0.00001},"algorithm":"feedback","engine":"bitset"}`, "dense adjacency matrix"},
+		{"dense pin infeasible", `{"graph":{"family":"gnp","n":1000000,"p":0.00001},"algorithm":"feedback","engine":"columnar"}`, "dense adjacency matrix"},
 		{"negative shards", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","shards":-1}`, "shards"},
-		{"shards on scalar", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","engine":"scalar","shards":2}`, "conflicts"},
-		{"loss on bitset", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","engine":"bitset","beep_loss":0.1}`, "beep_loss"},
-		{"loss on sparse", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","engine":"sparse","beep_loss":0.1}`, "beep_loss"},
+		// The retired engine names stay errors, naming the replacement.
+		{"shards on scalar", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","engine":"scalar","shards":2}`, `use "sparse"`},
+		{"loss on bitset", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","engine":"bitset","beep_loss":0.1}`, `use "columnar"`},
 		{"loss out of range", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","beep_loss":1}`, "beep_loss"},
 		{"trials too large", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","trials":1000001}`, "trials"},
 		{"bad engine", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","engine":"warp"}`, "engine"},
-		{"columnar without kernel", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"fixed","engine":"columnar"}`, "bulk kernel"},
 		{"crash round zero", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","crash_at_round":{"0":[1]}}`, "1-based"},
 		{"crash node range", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","crash_at_round":{"2":[10]}}`, "outside"},
 		{"crash duplicate", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","crash_at_round":{"2":[3],"4":[3]}}`, "twice"},
@@ -217,7 +216,7 @@ func TestEqualHashMeansEqualBytes(t *testing.T) {
 	pairs := [][2]string{
 		{
 			`{"name":"alice","graph":{"family":"gnp","n":40,"p":0.5},"algorithm":"feedback","trials":2,"seed":4}`,
-			`{"name":"bob","graph":{"family":"gnp","n":40,"p":0.5},"algorithm":"feedback","trials":2,"seed":4,"engine":"scalar","workers":3}`,
+			`{"name":"bob","graph":{"family":"gnp","n":40,"p":0.5},"algorithm":"feedback","trials":2,"seed":4,"engine":"sparse","workers":3}`,
 		},
 		{
 			`{"graph":{"family":"gnp","n":30,"p":0.5},"algorithm":"feedback","trials":2,"crash_at_round":{"3":[1,2,5]}}`,
@@ -276,20 +275,16 @@ func TestMillionNodeBounds(t *testing.T) {
 	if got := c.Units[0].PlannedEngine; got.String() != "sparse" {
 		t.Fatalf("planned engine %v, want sparse", got)
 	}
-	for _, pin := range []string{"sparse", "scalar"} {
-		if err := mustParse(t, `{`+graphDoc+`,"algorithm":"feedback","engine":"`+pin+`"}`).Validate(); err != nil {
-			t.Fatalf("million-node spec with engine %q rejected: %v", pin, err)
-		}
+	if err := mustParse(t, `{`+graphDoc+`,"algorithm":"feedback","engine":"sparse"}`).Validate(); err != nil {
+		t.Fatalf("million-node spec with engine \"sparse\" rejected: %v", err)
 	}
-	for _, pin := range []string{"bitset", "columnar"} {
-		_, err := Parse(strings.NewReader(`{` + graphDoc + `,"algorithm":"feedback","engine":"` + pin + `"}`))
-		if err == nil {
-			t.Fatalf("infeasible dense pin %q accepted", pin)
-		}
-		for _, want := range []string{"dense adjacency matrix", "sparse"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("dense-pin error %q does not mention %q", err, want)
-			}
+	_, err = Parse(strings.NewReader(`{` + graphDoc + `,"algorithm":"feedback","engine":"columnar"}`))
+	if err == nil {
+		t.Fatal("infeasible dense pin accepted")
+	}
+	for _, want := range []string{"dense adjacency matrix", "sparse"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("dense-pin error %q does not mention %q", err, want)
 		}
 	}
 	// Engine and bounds are performance knobs: every admitted variant of
@@ -298,13 +293,13 @@ func TestMillionNodeBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pin := range []string{"sparse", "scalar"} {
-		got, err := mustParse(t, `{`+graphDoc+`,"algorithm":"feedback","engine":"`+pin+`"}`).Hash()
+	for _, knobs := range []string{`"engine":"sparse"`, `"engine":"sparse","shards":4`} {
+		got, err := mustParse(t, `{`+graphDoc+`,"algorithm":"feedback",`+knobs+`}`).Hash()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("engine %q moved the content hash: %s vs %s", pin, got, want)
+			t.Fatalf("%s moved the content hash: %s vs %s", knobs, got, want)
 		}
 	}
 }
@@ -360,7 +355,7 @@ func TestRunDeterministicAcrossWorkersAndEngines(t *testing.T) {
 	for _, variant := range []string{
 		doc,
 		`{"graph":{"family":"gnp","n":80,"p":0.3},"algorithm":"feedback","trials":6,"seed":5,"workers":4}`,
-		`{"graph":{"family":"gnp","n":80,"p":0.3},"algorithm":"feedback","trials":6,"seed":5,"engine":"scalar"}`,
+		`{"graph":{"family":"gnp","n":80,"p":0.3},"algorithm":"feedback","trials":6,"seed":5,"engine":"columnar"}`,
 		`{"graph":{"family":"gnp","n":80,"p":0.3},"algorithm":"feedback","trials":6,"seed":5,"engine":"columnar","shards":3}`,
 		`{"graph":{"family":"gnp","n":80,"p":0.3},"algorithm":"feedback","trials":6,"seed":5,"engine":"sparse","shards":3}`,
 		`{"graph":{"family":"gnp","n":80,"p":0.3},"algorithm":"feedback","trials":6,"seed":5,"engine":"sparse","workers":2}`,
@@ -383,6 +378,41 @@ func TestRunDeterministicAcrossWorkersAndEngines(t *testing.T) {
 		}
 		if string(b) != string(want) {
 			t.Fatalf("variant %s produced different report bytes; engines/workers/shards must not affect results", variant)
+		}
+	}
+}
+
+// TestRunLossAndKernelLessAcrossEngines extends the determinism
+// contract to the two configurations that used to be pinned to one
+// engine: per-edge beep_loss, and an algorithm without a bulk kernel
+// (fixed) on the columnar engine. Every engine pin must produce the
+// same report bytes as auto.
+func TestRunLossAndKernelLessAcrossEngines(t *testing.T) {
+	for _, base := range []string{
+		`{"graph":{"family":"gnp","n":90,"p":0.2},"algorithm":"feedback","trials":4,"seed":8,"beep_loss":0.15`,
+		`{"graph":{"family":"gnp","n":90,"p":0.2},"algorithm":"fixed","fixed_p":0.2,"max_rounds":400,"trials":4,"seed":8`,
+	} {
+		var want []byte
+		for _, knobs := range []string{``, `,"engine":"columnar"`, `,"engine":"columnar","shards":3`, `,"engine":"sparse","shards":2`} {
+			c, err := mustParse(t, base+knobs+`}`).Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Run(context.Background(), c, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := rep.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = b
+				continue
+			}
+			if string(b) != string(want) {
+				t.Fatalf("%s%s}: report bytes differ from auto", base, knobs)
+			}
 		}
 	}
 }

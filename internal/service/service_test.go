@@ -368,7 +368,7 @@ func TestSubmitSparseBounds(t *testing.T) {
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
 
-	dense := `{"graph":{"family":"gnp","n":1000000,"p":0.00001},"algorithm":"feedback","engine":"bitset"}`
+	dense := `{"graph":{"family":"gnp","n":1000000,"p":0.00001},"algorithm":"feedback","engine":"columnar"}`
 	resp, err := http.Post(srv.URL+"/v1/scenarios", "application/json", strings.NewReader(dense))
 	if err != nil {
 		t.Fatal(err)

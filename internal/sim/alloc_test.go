@@ -82,22 +82,28 @@ func TestRoundLoopAllocations(t *testing.T) {
 		shards  int
 		faults  *fault.Spec
 		metrics bool
+		loss    float64
 	}{
-		{"columnar/shards=1", EngineColumnar, 1, nil, false},
-		{"columnar/shards=4", EngineColumnar, 4, nil, false},
-		{"columnar/shards=4/noisy", EngineColumnar, 4, noise, false},
-		{"sparse/shards=1", EngineSparse, 1, nil, false},
-		{"sparse/shards=4", EngineSparse, 4, nil, false},
-		{"sparse/shards=4/noisy", EngineSparse, 4, noise, false},
+		{"columnar/shards=1", EngineColumnar, 1, nil, false, 0},
+		{"columnar/shards=4", EngineColumnar, 4, nil, false, 0},
+		{"columnar/shards=4/noisy", EngineColumnar, 4, noise, false, 0},
+		{"sparse/shards=1", EngineSparse, 1, nil, false, 0},
+		{"sparse/shards=4", EngineSparse, 4, nil, false, 0},
+		{"sparse/shards=4/noisy", EngineSparse, 4, noise, false, 0},
 		// Metrics-enabled rows: recording is atomics into a preallocated
 		// bundle, so the steady-state guarantee must hold unchanged.
-		{"columnar/shards=1/metrics", EngineColumnar, 1, nil, true},
-		{"columnar/shards=4/metrics", EngineColumnar, 4, nil, true},
-		{"sparse/shards=4/metrics", EngineSparse, 4, nil, true},
-		{"sparse/shards=4/noisy/metrics", EngineSparse, 4, noise, true},
+		{"columnar/shards=1/metrics", EngineColumnar, 1, nil, true, 0},
+		{"columnar/shards=4/metrics", EngineColumnar, 4, nil, true, 0},
+		{"sparse/shards=4/metrics", EngineSparse, 4, nil, true, 0},
+		{"sparse/shards=4/noisy/metrics", EngineSparse, 4, noise, true, 0},
+		// Per-edge BeepLoss rows: the serial lossy exchange.
+		{"columnar/shards=1/lossy", EngineColumnar, 1, nil, false, 0.05},
+		{"columnar/shards=4/lossy", EngineColumnar, 4, nil, false, 0.05},
+		{"sparse/shards=1/lossy", EngineSparse, 1, nil, false, 0.05},
+		{"sparse/shards=4/lossy", EngineSparse, 4, nil, false, 0.05},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Engine: tc.engine, Shards: tc.shards, Faults: tc.faults}
+			opts := Options{Engine: tc.engine, Shards: tc.shards, Faults: tc.faults, BeepLoss: tc.loss}
 			if tc.metrics {
 				opts.Metrics = &obs.EngineMetrics{}
 			}

@@ -54,6 +54,13 @@ type columnarLoop struct {
 
 	shardBeeps []int // per-shard beep tallies, summed after the draw phase
 
+	// Per-edge beep loss (Options.BeepLoss): lossSrc is nil when the
+	// first exchange is loss-free; rows yields each vertex's sorted
+	// adjacency row.
+	lossSrc *rng.Source
+	loss    float64
+	rows    func(v int) []int32
+
 	// Method values for the pool, created once (a method value
 	// evaluated inline would allocate its closure on every round).
 	beepFn     func(shard, lo, hi int)
@@ -251,6 +258,31 @@ func (l *columnarLoop) exchange(dst, eligible, emitters graph.Bitset) {
 	}
 }
 
+// lossyExchange delivers a first exchange under per-edge beep loss:
+// one serial walk over the emitters in ascending order, then over each
+// emitter's adjacency row, drawing one Bernoulli(loss) per edge from the
+// single loss stream. A fixed draw order is what makes the result
+// independent of the shard count, so this walk never fans out.
+//
+//misvet:noalloc
+func (l *columnarLoop) lossyExchange(dst, emitters graph.Bitset) {
+	dst.Zero()
+	for wi, w := range emitters {
+		for w != 0 {
+			v := wi<<6 | mathbits.TrailingZeros64(w)
+			w &= w - 1
+			for _, u := range l.rows(v) {
+				if !l.lossSrc.Bernoulli(l.loss) {
+					dst.Set(int(u))
+				}
+			}
+		}
+	}
+	if l.metrics != nil {
+		l.metrics.PropagateBits.Add(uint64(dst.Count()))
+	}
+}
+
 //misvet:noalloc
 func (l *columnarLoop) observeShard(_, lo, hi int) {
 	l.ranger.ObserveRange(l.observeMask, l.beeped, l.heard, lo, hi)
@@ -269,25 +301,32 @@ func (l *columnarLoop) observe(mask graph.Bitset, active int) {
 	l.bulk.ObserveAll(mask, l.beeped, l.heard)
 }
 
-// runColumnar executes the round loop entirely on packed words: node
-// lifecycle masks are bitsets, beeps are drawn by the algorithm's bulk
-// kernel over struct-of-arrays state, joins are one AndNot
-// (beeped &^ heard), and both exchanges are sharded destination-range
-// OR passes over prop's adjacency representation — the packed matrix
-// for EngineColumnar, the CSR edge arrays for EngineSparse (which also
-// substitutes the per-node adapter kernel when the algorithm has no
-// columnar one). Per round it does O(n/64) word operations plus one
-// rng draw per eligible node, against the per-node engines' five O(n)
-// scans and n interface calls — and it is bit-identical to them: the
-// kernel draws from the same per-node streams in node order, and every
-// mask update mirrors a scalar-loop transition.
+// runColumnar is the simulator's round loop. It executes entirely on
+// packed words: node lifecycle masks are bitsets, beeps are drawn by
+// the algorithm's bulk kernel over struct-of-arrays state (or, with no
+// kernel, by the per-node automata through the adapter), joins are one
+// AndNot (beeped &^ heard), and both exchanges are sharded
+// destination-range OR passes over prop's adjacency representation —
+// the packed matrix for EngineColumnar, the CSR edge arrays for
+// EngineSparse. rows yields the same adjacency as sorted neighbour
+// lists, for the per-edge draws of a lossy first exchange. Per round it
+// does O(n/64) word operations plus one rng draw per eligible node, and
+// it is bit-identical to a per-node scalar walk of the time step (the
+// reference the equivalence suites check it against): the kernel draws
+// from the same per-node streams in node order, and every mask update
+// mirrors a per-node transition.
 //
 // All shardable phases (draws, tallies, exchanges, observes) run on
 // one persistent worker pool created at setup, and every buffer the
 // loop touches is allocated before round 1 — the steady-state round
 // path performs no heap allocations at any shard count (enforced by
 // TestColumnarRoundAllocations).
-func runColumnar(g topology, master *rng.Source, opts Options, maxRounds int, prop bulkPropagator, bulkFactory beep.BulkFactory, plan *faultPlan) (*Result, error) {
+func runColumnar(g topology, master *rng.Source, cfg *runConfig, prop bulkPropagator, rows func(v int) []int32, factory beep.Factory) (*Result, error) {
+	opts, maxRounds, plan := cfg.opts, cfg.maxRounds, cfg.plan
+	bulkFactory := opts.Bulk
+	if bulkFactory == nil {
+		bulkFactory = perNodeBulkFactory(factory)
+	}
 	n := g.N()
 	degrees := make([]int, n)
 	// Per-node streams live in one contiguous backing array: at 10⁶
@@ -308,8 +347,8 @@ func runColumnar(g topology, master *rng.Source, opts Options, maxRounds int, pr
 			// Every in-tree kernel (and the per-node adapter) implements
 			// BulkResetter; a third-party kernel that does not cannot run
 			// reset recoveries bit-identically, so refuse rather than
-			// silently diverge from the scalar engines.
-			return nil, fmt.Errorf("sim: fault spec schedules reset outages but the bulk kernel (%T) does not implement beep.BulkResetter (use a per-node engine)", bulk)
+			// silently diverge from the per-node automata.
+			return nil, fmt.Errorf("sim: fault spec schedules reset outages but the bulk kernel (%T) does not implement beep.BulkResetter (omit Options.Bulk to run the per-node automata)", bulk)
 		}
 	}
 	shards := EffectiveShards(opts.Shards)
@@ -346,6 +385,11 @@ func runColumnar(g topology, master *rng.Source, opts Options, maxRounds int, pr
 	metrics := opts.Metrics
 	loop := newColumnarLoop(prop, bulk, streams, res, beeped, heard, shards, metrics)
 	defer loop.close()
+	if opts.BeepLoss > 0 {
+		loop.lossSrc = master.Stream(faultStreamID)
+		loop.loss = opts.BeepLoss
+		loop.rows = rows
+	}
 	clock := phaseClock{m: metrics}
 
 	// Wake-up schedule: awake accumulates as rounds pass; wakeAt[r]
@@ -367,7 +411,8 @@ func runColumnar(g topology, master *rng.Source, opts Options, maxRounds int, pr
 	// Transient-outage overlay: a down node neither beeps, hears, nor
 	// observes, whatever its lifecycle state. Persistent MIS behaviour
 	// (keep-alive beeps and re-announcements) applies under wake-up or
-	// outages — exactly as in the scalar loop.
+	// outages: a node down during its neighbour's announcement misses
+	// the domination and must be able to catch up after recovering.
 	var downB graph.Bitset
 	if plan.outages() {
 		downB = graph.NewBitset(n)
@@ -396,8 +441,9 @@ func runColumnar(g topology, master *rng.Source, opts Options, maxRounds int, pr
 				active--
 			}
 		}
-		// Outage recoveries, then fresh downs — mirroring the scalar
-		// loop's order exactly (see its comments for the semantics).
+		// Outage recoveries, then fresh downs (in that order, so a
+		// back-to-back outage pair keeps the node down through the
+		// boundary round while still applying the recovery semantics).
 		leftDelta = leftDelta[:0]
 		if plan.outages() {
 			for _, v := range plan.resumeAt[round] {
@@ -406,6 +452,10 @@ func runColumnar(g topology, master *rng.Source, opts Options, maxRounds int, pr
 			resets := plan.resetAt[round]
 			for _, v := range resets {
 				downB.Clear(v)
+				// A departing MIS member is reported to the delta hook;
+				// its dominated neighbours stay dominated (they cannot
+				// know), which is exactly the transient maximality hole
+				// fault.Verifier measures.
 				if inMIS.Test(v) {
 					inMIS.Clear(v)
 					leftDelta = append(leftDelta, v)
@@ -472,7 +522,11 @@ func runColumnar(g topology, master *rng.Source, opts Options, maxRounds int, pr
 		if metrics != nil {
 			metrics.Frontier.Observe(int64(beepCount + res.PersistentBeeps - prevPersist))
 		}
-		loop.exchange(heard, eligible, emitters)
+		if loop.lossSrc != nil {
+			loop.lossyExchange(heard, emitters)
+		} else {
+			loop.exchange(heard, eligible, emitters)
+		}
 		clock.mark(obs.PhasePropagate)
 		// Channel noise: each eligible listener's heard bit passes
 		// through the lossy/spurious channel, drawn from that

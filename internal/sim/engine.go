@@ -20,46 +20,35 @@ func EffectiveShards(shards int) int {
 	return shards
 }
 
-// Engine selects the implementation of the simulator's neighbourhood
-// exchanges. Every engine executes the same algorithm state machine and
-// draws node randomness from the same per-node streams, so results are
-// bit-identical across engines for a given (graph, factory, seed, opts);
-// engines differ only in how fast they deliver beeps.
+// Engine selects the adjacency representation the simulator's round
+// loop runs over. Every engine executes the same algorithm state
+// machine and draws node randomness from the same per-node streams, so
+// results are bit-identical across engines for a given (graph,
+// factory, seed, opts); engines differ only in how fast they deliver
+// beeps and how much memory they take.
 type Engine uint8
 
 const (
-	// EngineAuto picks the fastest applicable engine: EngineColumnar
-	// when a bulk kernel is supplied and the graph is dense enough for
-	// word-parallel delivery to win (with the packed adjacency matrix
-	// fitting the memory budget), EngineBitset under the same density
-	// test without a kernel, EngineSparse when the matrix exceeds the
-	// budget but the CSR edge array fits, EngineScalar otherwise. This
-	// is the default. See ResolveEngine.
+	// EngineAuto picks EngineColumnar when the packed adjacency matrix
+	// fits the memory budget and the graph is dense enough for
+	// word-parallel delivery to win, EngineSparse otherwise. This is
+	// the default. See ResolveEngine.
 	EngineAuto Engine = iota
-	// EngineScalar delivers beeps by walking CSR adjacency lists
-	// edge-by-edge: O(Σ deg(beeper)) per round, no extra memory. The
-	// only engine that supports BeepLoss (loss is drawn per edge).
-	EngineScalar
-	// EngineBitset delivers beeps with packed row bitsets: one OR
-	// operation informs 64 listeners, so a round costs
-	// O(beepers · n/64) words — but the round loop around the exchanges
-	// stays per-node. Requires O(n²/8) bytes for the matrix and does
-	// not support BeepLoss.
+	_                 // reserved: the retired scalar engine's value
+	// EngineBitset is retired: Run and RunCSR reject it. EngineColumnar
+	// replaces it, with or without a bulk kernel.
 	EngineBitset
-	// EngineColumnar runs the whole round loop on packed words: beeps
-	// are drawn by a bulk algorithm kernel over struct-of-arrays state
-	// (Options.Bulk, required), node masks are bitsets end-to-end, and
-	// propagation is sharded across Options.Shards goroutines. Same
-	// memory requirement as EngineBitset; no BeepLoss.
+	// EngineColumnar runs the round loop over the dense packed
+	// adjacency matrix: one OR informs 64 listeners, and propagation is
+	// sharded across Options.Shards goroutines. Requires O(n²/8) bytes
+	// for the matrix.
 	EngineColumnar
-	// EngineSparse runs the columnar round loop over the O(n + m) CSR
+	// EngineSparse runs the round loop over the O(n + m) CSR
 	// representation instead of the dense matrix: per exchange it walks
 	// only the CSR rows of the current emitters into the heard bitset,
 	// sharded by destination vertex range across Options.Shards
-	// goroutines. The one engine whose memory scales with edges rather
-	// than n², so it is how million-node graphs run. A bulk kernel is
-	// used when supplied; without one the per-node automata are driven
-	// through an adapter, so every algorithm qualifies. No BeepLoss.
+	// goroutines. Its memory scales with edges rather than n², so it is
+	// how million-node graphs run.
 	EngineSparse
 )
 
@@ -68,8 +57,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineAuto:
 		return "auto"
-	case EngineScalar:
-		return "scalar"
 	case EngineBitset:
 		return "bitset"
 	case EngineColumnar:
@@ -81,85 +68,66 @@ func (e Engine) String() string {
 	}
 }
 
-// ParseEngine converts a command-line engine name to an Engine.
+// ParseEngine converts a command-line engine name to an Engine. The
+// retired names "scalar" and "bitset" are errors that name their
+// replacement.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "auto", "":
 		return EngineAuto, nil
-	case "scalar":
-		return EngineScalar, nil
-	case "bitset":
-		return EngineBitset, nil
 	case "columnar":
 		return EngineColumnar, nil
 	case "sparse":
 		return EngineSparse, nil
+	case "scalar":
+		return EngineAuto, fmt.Errorf("sim: engine %q is retired; use \"sparse\" (or auto)", s)
+	case "bitset":
+		return EngineAuto, fmt.Errorf("sim: engine %q is retired; use \"columnar\" (or auto)", s)
 	default:
-		return EngineAuto, fmt.Errorf("sim: unknown engine %q (want auto, scalar, bitset, columnar, or sparse)", s)
+		return EngineAuto, fmt.Errorf("sim: unknown engine %q (want auto, columnar, or sparse)", s)
 	}
 }
 
 // DefaultMemoryBudget caps the adjacency-representation memory
-// EngineAuto will spend when Options.MemoryBudget is zero: 2 GiB covers
-// a dense matrix up to n = 10⁵ (1.25 GiB) with headroom and refuses it
-// in the n ≥ 10⁶ regime, where the matrix alone would be 125 GiB —
-// there the CSR representation (O(n + m) bytes) takes over via
-// EngineSparse. An explicit engine pin is honoured regardless of the
-// budget — the caller knows their machine.
+// EngineAuto will spend on the dense matrix when Options.MemoryBudget
+// is zero: 2 GiB covers a dense matrix up to n = 10⁵ (1.25 GiB) with
+// headroom and refuses it in the n ≥ 10⁶ regime, where the matrix alone
+// would be 125 GiB — there the CSR representation (O(n + m) bytes)
+// takes over via EngineSparse. An explicit engine pin is honoured
+// regardless of the budget — the caller knows their machine.
 const DefaultMemoryBudget = int64(2) << 30
 
 // ResolveEngine reports the engine a run of g under opts will actually
 // execute: the pin itself for a non-auto Options.Engine, and the auto
 // heuristic's choice otherwise. Exported so callers (misbench records,
-// capacity planners) can observe the selection — an auto run silently
-// degrading to the scalar walk was how million-node graphs used to lose
-// their speed without anyone noticing.
-//
-// The heuristic, in order: per-edge BeepLoss draws force the scalar
-// walk; graphs whose packed matrix fits the memory budget take the
-// word-parallel dense engines when dense enough for them to win
-// (columnar with a kernel, bitset without) and the scalar walk
-// otherwise; graphs whose matrix exceeds the budget take the sparse
-// CSR engine as long as the edge array fits, and degrade to scalar —
-// which needs no extra representation — only past that.
+// capacity planners) can observe the selection.
 func ResolveEngine(g *graph.Graph, opts Options) Engine {
 	if opts.Engine != EngineAuto {
 		return opts.Engine
 	}
-	return ResolveEngineFromCounts(g.N(), g.M(), opts.Bulk != nil, opts.BeepLoss, opts.MemoryBudget)
+	return ResolveEngineFromCounts(g.N(), g.M(), opts.MemoryBudget)
 }
 
 // ResolveEngineFromCounts is the auto heuristic over counts instead of
-// a built graph: n vertices, m edges, whether a bulk kernel will be
-// supplied, the BeepLoss setting, and the memory budget (<= 0 means
-// DefaultMemoryBudget). ResolveEngine delegates here; the scenario
-// compiler's admission planning calls it directly with its *expected*
-// edge counts, so the two can never drift apart.
-func ResolveEngineFromCounts(n, m int, hasBulk bool, beepLoss float64, budget int64) Engine {
-	if beepLoss > 0 {
-		return EngineScalar
-	}
+// a built graph: n vertices, m edges, and the memory budget (<= 0 means
+// DefaultMemoryBudget). The rule is one line: the dense matrix if it
+// fits the budget and bitsetWorthwhile, else the CSR arrays.
+// ResolveEngine delegates here; the scenario compiler's admission
+// planning calls it directly with its *expected* edge counts, so the
+// two can never drift apart.
+func ResolveEngineFromCounts(n, m int, budget int64) Engine {
 	if budget <= 0 {
 		budget = DefaultMemoryBudget
 	}
-	if graph.MatrixBytes(n) <= budget {
-		if !bitsetWorthwhile(n, m) {
-			return EngineScalar
-		}
-		if hasBulk {
-			return EngineColumnar
-		}
-		return EngineBitset
+	if graph.MatrixBytes(n) <= budget && bitsetWorthwhile(n, m) {
+		return EngineColumnar
 	}
-	if graph.CSRBytes(n, m) <= budget {
-		return EngineSparse
-	}
-	return EngineScalar
+	return EngineSparse
 }
 
 // bitsetWorthwhile is EngineAuto's density heuristic. Per emitting
-// node a bitset round costs ⌈n/64⌉ word ORs against deg(v) random
-// writes for the scalar walk, so the break-even density is an average
+// node a matrix exchange costs ⌈n/64⌉ word ORs against deg(v) random
+// writes for a CSR row walk, so the break-even density is an average
 // degree of about n/64; word ops are cheaper than scattered writes, so
 // the threshold takes half that. Tiny graphs always qualify — the
 // matrix is a few cache lines. (Whether the matrix fits the memory
@@ -173,54 +141,4 @@ func bitsetWorthwhile(n, m int) bool {
 	}
 	words := float64((n + 63) / 64)
 	return 2*float64(m)/float64(n) >= words/2
-}
-
-// propagator delivers one exchange: dst[w] becomes true for every w
-// adjacent to a vertex with emit[v] true. dst is all-false on entry.
-// Loss-free by contract — the lossy first exchange stays in Run, where
-// per-edge fault draws keep their deterministic order.
-type propagator interface {
-	propagate(emit, dst []bool)
-}
-
-// scalarPropagator walks CSR adjacency lists.
-type scalarPropagator struct{ g *graph.Graph }
-
-func (p scalarPropagator) propagate(emit, dst []bool) {
-	for v, e := range emit {
-		if !e {
-			continue
-		}
-		for _, w := range p.g.Neighbors(v) {
-			dst[w] = true
-		}
-	}
-}
-
-// bitsetPropagator ORs packed adjacency rows: 64 listeners per word
-// operation. Scratch bitsets are reused across rounds.
-type bitsetPropagator struct {
-	mat      *graph.AdjacencyMatrix
-	emitBits graph.Bitset
-	dstBits  graph.Bitset
-}
-
-func newBitsetPropagator(g *graph.Graph) *bitsetPropagator {
-	return &bitsetPropagator{
-		mat:      g.Matrix(),
-		emitBits: graph.NewBitset(g.N()),
-		dstBits:  graph.NewBitset(g.N()),
-	}
-}
-
-func (p *bitsetPropagator) propagate(emit, dst []bool) {
-	p.emitBits.Zero()
-	for v, e := range emit {
-		if e {
-			p.emitBits.Set(v)
-		}
-	}
-	p.dstBits.Zero()
-	p.emitBits.ForEach(func(v int) { p.mat.OrRowInto(p.dstBits, v) })
-	p.dstBits.ForEach(func(w int) { dst[w] = true })
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,36 +19,49 @@ type engineRun struct {
 	res  *Result
 }
 
-// runAllEngines executes the same configuration on every engine —
-// scalar, bitset, the sparse CSR engine driving per-node automata
-// through the adapter, and (when the algorithm has a kernel) the
-// columnar and sparse engines over it — the sharded ones at shard
-// counts 1, 3, and GOMAXPROCS — and returns the labelled results. The
-// first entry is the scalar reference.
+// runAllEngines executes the same configuration on the scalar oracle
+// and on both engines — each driving the per-node automata through the
+// adapter at shard counts 1 and 3, and (when the algorithm has a
+// kernel) running the kernel at shard counts 1, 3, and GOMAXPROCS — and
+// returns the labelled results. The first entry is the oracle.
 func runAllEngines(t *testing.T, g *graph.Graph, spec mis.Spec, seed uint64, opts Options) []engineRun {
+	t.Helper()
+	return runMatrix(t, g, spec, seed, opts, false)
+}
+
+// runAllEnginesCapped is runAllEngines for configurations that may hit
+// the round cap: a run that ends in ErrTooManyRounds contributes its
+// partial Result, which must match like any other.
+func runAllEnginesCapped(t *testing.T, g *graph.Graph, spec mis.Spec, seed uint64, opts Options) []engineRun {
+	t.Helper()
+	return runMatrix(t, g, spec, seed, opts, true)
+}
+
+func runMatrix(t *testing.T, g *graph.Graph, spec mis.Spec, seed uint64, opts Options, capped bool) []engineRun {
 	t.Helper()
 	factory, bulk, err := mis.NewFactories(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var runs []engineRun
-	exec := func(name string) {
-		res, err := Run(g, factory, rng.New(seed), opts)
-		if err != nil {
-			t.Fatalf("%s engine: %v", name, err)
+	record := func(name string, res *Result, err error) {
+		if err != nil && !(capped && errors.Is(err, ErrTooManyRounds)) {
+			t.Fatalf("%s: %v", name, err)
 		}
 		runs = append(runs, engineRun{name, res})
 	}
-	opts.Engine = EngineScalar
-	exec("scalar")
-	opts.Engine = EngineBitset
-	exec("bitset")
-	// The sparse engine without a kernel drives the per-node automata
-	// through the adapter — the path kernel-less algorithms take.
-	opts.Engine = EngineSparse
-	for _, shards := range []int{1, 3, 0} {
-		opts.Shards = shards
-		exec(fmt.Sprintf("sparse-pernode/shards=%d", shards))
+	res, err := runOracle(g, factory, rng.New(seed), opts)
+	record("oracle", res, err)
+	exec := func(name string) {
+		res, err := Run(g, factory, rng.New(seed), opts)
+		record(name, res, err)
+	}
+	for _, engine := range []Engine{EngineColumnar, EngineSparse} {
+		opts.Engine = engine
+		for _, shards := range []int{1, 3} {
+			opts.Shards = shards
+			exec(fmt.Sprintf("%v-pernode/shards=%d", engine, shards))
+		}
 	}
 	if bulk != nil {
 		opts.Bulk = bulk
@@ -62,16 +76,33 @@ func runAllEngines(t *testing.T, g *graph.Graph, spec mis.Spec, seed uint64, opt
 	return runs
 }
 
-// runBoth executes the same configuration on the scalar and bitset
-// engines and returns both results.
-func runBoth(t *testing.T, g *graph.Graph, spec mis.Spec, seed uint64, opts Options) (*Result, *Result) {
-	t.Helper()
-	runs := runAllEngines(t, g, spec, seed, opts)
-	return runs[0].res, runs[1].res
+// runFunc is the signature Run and runOracle share.
+type runFunc func(g *graph.Graph, factory beep.Factory, master *rng.Source, opts Options) (*Result, error)
+
+// namedRunner is the oracle or one engine configuration.
+type namedRunner struct {
+	name string
+	run  runFunc
+}
+
+// runners returns the oracle followed by both engines, each with the
+// per-node adapter and with bulk — for tests that check a property of
+// every configuration rather than equivalence alone.
+func runners(bulk beep.BulkFactory) []namedRunner {
+	rs := []namedRunner{{"oracle", runOracle}}
+	for _, engine := range []Engine{EngineColumnar, EngineSparse} {
+		for _, b := range []beep.BulkFactory{nil, bulk} {
+			rs = append(rs, namedRunner{fmt.Sprintf("%v/bulk=%v", engine, b != nil), func(g *graph.Graph, f beep.Factory, m *rng.Source, opts Options) (*Result, error) {
+				opts.Engine, opts.Bulk = engine, b
+				return Run(g, f, m, opts)
+			}})
+		}
+	}
+	return rs
 }
 
 // assertAllIdentical checks every run of an equivalence matrix against
-// the first (scalar reference) entry.
+// the first (oracle) entry.
 func assertAllIdentical(t *testing.T, runs []engineRun) {
 	t.Helper()
 	for _, run := range runs[1:] {
@@ -79,13 +110,8 @@ func assertAllIdentical(t *testing.T, runs []engineRun) {
 	}
 }
 
-// assertIdentical fails unless the two results agree on every field the
-// engines promise to reproduce bit-for-bit.
-func assertIdentical(t *testing.T, scalar, bitset *Result) {
-	t.Helper()
-	assertIdenticalNamed(t, scalar, bitset, "scalar", "bitset")
-}
-
+// assertIdenticalNamed fails unless the two results are equal in every
+// field; the field-by-field checks name the first difference.
 func assertIdenticalNamed(t *testing.T, a, b *Result, aName, bName string) {
 	t.Helper()
 	if a.Rounds != b.Rounds {
@@ -117,6 +143,9 @@ func assertIdenticalNamed(t *testing.T, a, b *Result, aName, bName string) {
 			t.Fatalf("beep count differs at vertex %d: %s %d, %s %d",
 				v, aName, a.Beeps[v], bName, b.Beeps[v])
 		}
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("results differ: %s %+v, %s %+v", aName, a, bName, b)
 	}
 }
 
@@ -178,8 +207,8 @@ func TestEngineEquivalenceCrashes(t *testing.T) {
 	assertAllIdentical(t, runAllEngines(t, g, mis.Spec{Name: mis.NameFeedback}, 7, Options{CrashAtRound: crashes}))
 }
 
-// TestEngineAutoMatchesForced pins the auto engine to the same results
-// as both forced engines.
+// TestEngineAutoMatchesForced pins the auto engine, with no kernel
+// supplied, to the same results as every forced configuration.
 func TestEngineAutoMatchesForced(t *testing.T) {
 	g := graph.GNP(180, 0.5, rng.New(8))
 	factory, err := mis.NewFactory(mis.Spec{Name: mis.NameFeedback})
@@ -190,9 +219,9 @@ func TestEngineAutoMatchesForced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, bitset := runBoth(t, g, mis.Spec{Name: mis.NameFeedback}, 11, Options{})
-	assertIdentical(t, auto, scalar)
-	assertIdentical(t, auto, bitset)
+	for _, run := range runAllEngines(t, g, mis.Spec{Name: mis.NameFeedback}, 11, Options{}) {
+		assertIdenticalNamed(t, auto, run.res, "auto", run.name)
+	}
 }
 
 // TestEngineAutoUpgradesToColumnar pins the auto heuristic: with a bulk
@@ -204,7 +233,11 @@ func TestEngineAutoUpgradesToColumnar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := Run(g, factory, rng.New(11), Options{Engine: EngineAuto, Bulk: bulk})
+	opts := Options{Engine: EngineAuto, Bulk: bulk}
+	if got := ResolveEngine(g, opts); got != EngineColumnar {
+		t.Fatalf("ResolveEngine = %v, want columnar", got)
+	}
+	auto, err := Run(g, factory, rng.New(11), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,23 +246,17 @@ func TestEngineAutoUpgradesToColumnar(t *testing.T) {
 	}
 }
 
-// TestEngineColumnarRequiresBulk asserts the explicit rejection of a
-// columnar pin without a kernel, and of Shards misuse.
-func TestEngineColumnarRequiresBulk(t *testing.T) {
+// TestEngineColumnarAcceptsNilBulk: a columnar pin without a kernel
+// runs the per-node automata through the adapter, exactly like the
+// oracle — including for the kernel-less fixed-probability strawman.
+// Shards misuse is still rejected.
+func TestEngineColumnarAcceptsNilBulk(t *testing.T) {
 	g := graph.GNP(50, 0.5, rng.New(1))
-	factory, err := mis.NewFactory(mis.Spec{Name: mis.NameFeedback})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(g, factory, rng.New(1), Options{Engine: EngineColumnar})
-	if err == nil || !strings.Contains(err.Error(), "bulk kernel") {
-		t.Fatalf("columnar without Bulk: got err %v, want bulk-kernel rejection", err)
-	}
-	if _, err := Run(g, factory, rng.New(1), Options{Shards: -1}); err == nil {
+	if _, err := Run(g, nil, rng.New(1), Options{Shards: -1}); err == nil {
 		t.Fatal("negative Shards was silently accepted")
 	}
 	// The fixed-probability strawman has no kernel: NewFactories returns
-	// a nil bulk, and auto quietly stays per-node.
+	// a nil bulk.
 	fixedFactory, fixedBulk, err := mis.NewFactories(mis.Spec{Name: mis.NameFixed, FixedP: 0.25})
 	if err != nil {
 		t.Fatal(err)
@@ -237,24 +264,42 @@ func TestEngineColumnarRequiresBulk(t *testing.T) {
 	if fixedBulk != nil {
 		t.Fatal("fixed-probability algorithm unexpectedly has a bulk kernel; update this test")
 	}
-	if _, err := Run(g, fixedFactory, rng.New(1), Options{Engine: EngineAuto, Bulk: fixedBulk, MaxRounds: 200}); err != nil && !errors.Is(err, ErrTooManyRounds) {
-		t.Fatalf("auto with nil bulk: %v", err)
+	opts := Options{MaxRounds: 200}
+	want, wantErr := runOracle(g, fixedFactory, rng.New(1), opts)
+	for _, engine := range []Engine{EngineAuto, EngineColumnar} {
+		opts.Engine = engine
+		got, err := Run(g, fixedFactory, rng.New(1), opts)
+		if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, ErrTooManyRounds)) {
+			t.Fatalf("%v with nil bulk: err %v, oracle err %v", engine, err, wantErr)
+		}
+		assertIdenticalNamed(t, want, got, "oracle", engine.String())
 	}
 }
 
+// TestEngineBitsetRejectsBeepLoss: EngineBitset stays declared but no
+// longer runs, and the unused value of the retired scalar engine is an
+// unknown engine. Per-edge BeepLoss runs on both remaining engines.
 func TestEngineBitsetRejectsBeepLoss(t *testing.T) {
 	g := graph.GNP(50, 0.5, rng.New(1))
 	factory, err := mis.NewFactory(mis.Spec{Name: mis.NameFeedback})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(g, factory, rng.New(1), Options{Engine: EngineBitset, BeepLoss: 0.1})
-	if err == nil || !strings.Contains(err.Error(), "BeepLoss") {
-		t.Fatalf("bitset engine with loss: got err %v, want BeepLoss rejection", err)
+	for _, opts := range []Options{{Engine: EngineBitset}, {Engine: EngineBitset, BeepLoss: 0.1}} {
+		if _, err := Run(g, factory, rng.New(1), opts); err == nil || !strings.Contains(err.Error(), "retired") {
+			t.Fatalf("Run %+v: got err %v, want retired-engine rejection", opts, err)
+		}
+		if _, err := RunCSR(g.CSR(), factory, rng.New(1), opts); err == nil || !strings.Contains(err.Error(), "retired") {
+			t.Fatalf("RunCSR %+v: got err %v, want retired-engine rejection", opts, err)
+		}
 	}
-	// Auto must silently fall back to scalar and succeed.
-	if _, err := Run(g, factory, rng.New(1), Options{Engine: EngineAuto, BeepLoss: 0.1}); err != nil {
-		t.Fatalf("auto engine with loss: %v", err)
+	if _, err := Run(g, factory, rng.New(1), Options{Engine: EngineBitset - 1}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+		t.Fatalf("engine value 1: got err %v, want unknown-engine rejection", err)
+	}
+	for _, engine := range []Engine{EngineAuto, EngineColumnar, EngineSparse} {
+		if _, err := Run(g, factory, rng.New(1), Options{Engine: engine, BeepLoss: 0.1}); err != nil {
+			t.Fatalf("%v engine with loss: %v", engine, err)
+		}
 	}
 }
 
@@ -286,10 +331,10 @@ func TestParseEngine(t *testing.T) {
 	}{
 		{"auto", EngineAuto, true},
 		{"", EngineAuto, true},
-		{"scalar", EngineScalar, true},
-		{"bitset", EngineBitset, true},
 		{"columnar", EngineColumnar, true},
 		{"sparse", EngineSparse, true},
+		{"scalar", EngineAuto, false},
+		{"bitset", EngineAuto, false},
 		{"simd", EngineAuto, false},
 	} {
 		got, err := ParseEngine(tc.in)
@@ -297,7 +342,13 @@ func TestParseEngine(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
 	}
-	for _, e := range []Engine{EngineAuto, EngineScalar, EngineBitset, EngineColumnar, EngineSparse} {
+	// Retired names fail with an error naming the replacement.
+	for name, replacement := range map[string]string{"scalar": "sparse", "bitset": "columnar"} {
+		if _, err := ParseEngine(name); err == nil || !strings.Contains(err.Error(), replacement) {
+			t.Errorf("ParseEngine(%q) = %v; want an error naming %q", name, err, replacement)
+		}
+	}
+	for _, e := range []Engine{EngineAuto, EngineColumnar, EngineSparse} {
 		rt, err := ParseEngine(e.String())
 		if err != nil || rt != e {
 			t.Errorf("round-trip %v failed: %v, %v", e, rt, err)
@@ -305,10 +356,9 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
-// TestResolveEngine pins the auto heuristic's routing, including the
-// memory-budget fallback that used to degrade silently to the scalar
-// walk: above the matrix budget the sparse CSR engine now takes over,
-// and only a budget too small even for the edge array reaches scalar.
+// TestResolveEngine pins the auto heuristic's one rule: the dense
+// matrix when it fits the budget and density pays, the CSR arrays
+// otherwise. Neither a kernel nor BeepLoss changes the choice.
 func TestResolveEngine(t *testing.T) {
 	_, bulk, err := mis.NewFactories(mis.Spec{Name: mis.NameFeedback})
 	if err != nil {
@@ -322,18 +372,15 @@ func TestResolveEngine(t *testing.T) {
 		opts Options
 		want Engine
 	}{
-		{"pin wins", dense, Options{Engine: EngineScalar}, EngineScalar},
-		{"dense no kernel", dense, Options{}, EngineBitset},
+		{"pin wins", dense, Options{Engine: EngineSparse}, EngineSparse},
+		{"dense no kernel", dense, Options{}, EngineColumnar},
 		{"dense kernel", dense, Options{Bulk: bulk}, EngineColumnar},
-		{"sparse under budget", sparse, Options{}, EngineScalar},
-		{"loss forces scalar", dense, Options{BeepLoss: 0.1}, EngineScalar},
-		// A 100 KB budget rejects dense's 500 KB matrix but admits its
-		// CSR edge array (≈ 2·10⁶ edges would not fit; 2000·0.5 ≈ 10⁶
-		// edges · 8 B ≈ 8 MB — so use the genuinely sparse graph).
-		{"over matrix budget", sparse, Options{MemoryBudget: 1 << 20}, EngineSparse},
-		// A budget below even the CSR bytes degrades to the scalar
-		// walk, which needs no extra representation.
-		{"over csr budget", sparse, Options{MemoryBudget: 1 << 10}, EngineScalar},
+		{"dense with loss", dense, Options{BeepLoss: 0.1}, EngineColumnar},
+		{"sparse under budget", sparse, Options{}, EngineSparse},
+		{"dense over matrix budget", dense, Options{MemoryBudget: 1 << 18}, EngineSparse},
+		// A budget below even the CSR bytes still takes the CSR: the
+		// budget only gates the matrix.
+		{"over csr budget", sparse, Options{MemoryBudget: 1 << 10}, EngineSparse},
 	}
 	for _, tc := range tests {
 		if got := ResolveEngine(tc.g, tc.opts); got != tc.want {
@@ -344,7 +391,7 @@ func TestResolveEngine(t *testing.T) {
 
 // TestEngineAutoRoutesSparseOverBudget runs the over-budget auto path
 // end to end: the run must succeed without ever building the dense
-// matrix and stay bit-identical to the scalar reference.
+// matrix and stay bit-identical to the oracle.
 func TestEngineAutoRoutesSparseOverBudget(t *testing.T) {
 	g := graph.GNP(3000, 0.004, rng.New(3))
 	opts := Options{MemoryBudget: 1 << 19} // matrix would need 1.1 MB
@@ -361,15 +408,16 @@ func TestEngineAutoRoutesSparseOverBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := Run(g, factory, rng.New(11), Options{Engine: EngineScalar})
+	oracle, err := runOracle(g, factory, rng.New(11), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalNamed(t, scalar, auto, "scalar", "auto-sparse")
+	assertIdenticalNamed(t, oracle, auto, "oracle", "auto-sparse")
 }
 
-// TestEnginesUnderTraceHook checks the per-round snapshots agree between
-// engines, not just the final results.
+// TestEnginesUnderTraceHook checks the per-round snapshots agree
+// between the oracle and every engine, with and without a kernel — not
+// just the final results.
 func TestEnginesUnderTraceHook(t *testing.T) {
 	g := graph.GNP(90, 0.3, rng.New(4))
 	factory, bulk, err := mis.NewFactories(mis.Spec{Name: mis.NameFeedback})
@@ -382,76 +430,42 @@ func TestEnginesUnderTraceHook(t *testing.T) {
 		probs  []float64
 		active int
 	}
-	capture := func(engine Engine) []roundView {
+	capture := func(run runFunc) []roundView {
 		var views []roundView
-		opts := Options{
-			Engine: engine,
-			OnRound: func(s Snapshot) {
-				views = append(views, roundView{
-					beeped: append([]bool(nil), s.Beeped...),
-					states: append([]beep.State(nil), s.States...),
-					probs:  append([]float64(nil), s.Probabilities...),
-					active: s.Active,
-				})
-			},
+		var opts Options
+		opts.OnRound = func(s Snapshot) {
+			views = append(views, roundView{
+				beeped: append([]bool(nil), s.Beeped...),
+				states: append([]beep.State(nil), s.States...),
+				probs:  append([]float64(nil), s.Probabilities...),
+				active: s.Active,
+			})
 		}
-		if engine == EngineColumnar {
-			opts.Bulk = bulk
-		}
-		_, err := Run(g, factory, rng.New(21), opts)
-		if err != nil {
-			t.Fatalf("engine %v: %v", engine, err)
+		if _, err := run(g, factory, rng.New(21), opts); err != nil {
+			t.Fatal(err)
 		}
 		return views
 	}
-	sv, bv, cv := capture(EngineScalar), capture(EngineBitset), capture(EngineColumnar)
-	// The sparse engine's per-node adapter must report the same
-	// probabilities and snapshots as the scalar loop it wraps.
-	pv := capture(EngineSparse)
-	if len(sv) != len(pv) {
-		t.Fatalf("round counts differ: scalar %d, sparse %d", len(sv), len(pv))
-	}
-	for r := range sv {
-		if sv[r].active != pv[r].active {
-			t.Fatalf("round %d active differs: scalar %d, sparse %d", r+1, sv[r].active, pv[r].active)
+	rs := runners(bulk)
+	want := capture(rs[0].run)
+	for _, r := range rs[1:] {
+		name := r.name
+		got := capture(r.run)
+		if len(want) != len(got) {
+			t.Fatalf("round counts differ: oracle %d, %s %d", len(want), name, len(got))
 		}
-		for v := range sv[r].beeped {
-			if sv[r].beeped[v] != pv[r].beeped[v] || sv[r].states[v] != pv[r].states[v] {
-				t.Fatalf("round %d vertex %d snapshot differs (scalar vs sparse)", r+1, v)
+		for r := range want {
+			if want[r].active != got[r].active {
+				t.Fatalf("round %d active differs: oracle %d, %s %d", r+1, want[r].active, name, got[r].active)
 			}
-			if sv[r].probs[v] != pv[r].probs[v] {
-				t.Fatalf("round %d vertex %d probability differs: scalar %v, sparse %v",
-					r+1, v, sv[r].probs[v], pv[r].probs[v])
-			}
-		}
-	}
-	if len(sv) != len(cv) {
-		t.Fatalf("round counts differ: scalar %d, columnar %d", len(sv), len(cv))
-	}
-	for r := range sv {
-		if sv[r].active != cv[r].active {
-			t.Fatalf("round %d active differs: scalar %d, columnar %d", r+1, sv[r].active, cv[r].active)
-		}
-		for v := range sv[r].beeped {
-			if sv[r].beeped[v] != cv[r].beeped[v] || sv[r].states[v] != cv[r].states[v] {
-				t.Fatalf("round %d vertex %d snapshot differs (scalar vs columnar)", r+1, v)
-			}
-			if sv[r].probs[v] != cv[r].probs[v] {
-				t.Fatalf("round %d vertex %d probability differs: scalar %v, columnar %v",
-					r+1, v, sv[r].probs[v], cv[r].probs[v])
-			}
-		}
-	}
-	if len(sv) != len(bv) {
-		t.Fatalf("round counts differ: scalar %d, bitset %d", len(sv), len(bv))
-	}
-	for r := range sv {
-		if sv[r].active != bv[r].active {
-			t.Fatalf("round %d active differs: %d vs %d", r+1, sv[r].active, bv[r].active)
-		}
-		for v := range sv[r].beeped {
-			if sv[r].beeped[v] != bv[r].beeped[v] || sv[r].states[v] != bv[r].states[v] {
-				t.Fatalf("round %d vertex %d snapshot differs", r+1, v)
+			for v := range want[r].beeped {
+				if want[r].beeped[v] != got[r].beeped[v] || want[r].states[v] != got[r].states[v] {
+					t.Fatalf("round %d vertex %d snapshot differs (oracle vs %s)", r+1, v, name)
+				}
+				if want[r].probs[v] != got[r].probs[v] {
+					t.Fatalf("round %d vertex %d probability differs: oracle %v, %s %v",
+						r+1, v, want[r].probs[v], name, got[r].probs[v])
+				}
 			}
 		}
 	}

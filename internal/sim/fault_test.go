@@ -43,9 +43,9 @@ func faultSpecs() []struct {
 
 // TestEngineEquivalenceFaults is the engine×shards×faults matrix: every
 // fault-spec combination must produce bit-identical traces on the
-// scalar, bitset, columnar, and sparse engines (the sharded ones at
-// several shard counts) — the determinism contract that makes the fault
-// layer a semantic knob rather than an engine feature.
+// oracle and on the columnar and sparse engines (with and without a
+// kernel, at several shard counts) — the determinism contract that
+// makes the fault layer a semantic knob rather than an engine feature.
 func TestEngineEquivalenceFaults(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -72,6 +72,51 @@ func TestEngineEquivalenceFaults(t *testing.T) {
 	}
 }
 
+// TestEngineEquivalenceBeepLoss is the same matrix for the per-edge
+// BeepLoss: the lossy first exchange is one serial walk with a fixed
+// draw order, so every engine and shard count must match the oracle —
+// alone and combined with wake-up, outages of both recovery kinds,
+// crashes, and a round cap that cuts runs short.
+func TestEngineEquivalenceBeepLoss(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"gnp-150", graph.GNP(150, 0.3, rng.New(1))},
+		{"gnp-sparse-200", graph.GNP(200, 0.03, rng.New(2))},
+		{"grid-9x9", graph.Grid(9, 9)},
+	}
+	extras := []struct {
+		name string
+		opts Options
+	}{
+		{"loss-only", Options{}},
+		{"wake", Options{Faults: &fault.Spec{Wake: &fault.Wake{Kind: fault.WakeUniform, Window: 9}}}},
+		{"outages", Options{Faults: &fault.Spec{Outages: []fault.Outage{
+			{Node: 3, From: 2, For: 4},
+			{Node: 40, From: 1, For: 3, Reset: true},
+		}}}},
+		{"crashes", Options{CrashAtRound: map[int][]int{2: {0, 5}, 3: {17}}}},
+		{"round-cap", Options{MaxRounds: 3}},
+	}
+	specs := []mis.Spec{{Name: mis.NameFeedback}, {Name: mis.NameAfek}, {Name: mis.NameFixed, FixedP: 0.3}}
+	for _, tg := range graphs {
+		for _, extra := range extras {
+			for _, algo := range specs {
+				for _, loss := range []float64{0.05, 0.4} {
+					opts := extra.opts
+					opts.BeepLoss = loss
+					if opts.MaxRounds == 0 && algo.Name == mis.NameFixed {
+						opts.MaxRounds = 400
+					}
+					runs := runAllEnginesCapped(t, tg.g, algo, 3, opts)
+					assertAllIdentical(t, runs)
+				}
+			}
+		}
+	}
+}
+
 // TestFaultVerifierAgreesWithEngines attaches fault.Verifier to every
 // engine run and cross-checks its incremental membership view against
 // the engine's result — on a clean-channel adversarial schedule, it
@@ -89,29 +134,26 @@ func TestFaultVerifierAgreesWithEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{EngineScalar, EngineBitset, EngineColumnar, EngineSparse} {
+	for _, r := range runners(bulk) {
 		vf := fault.NewVerifier(g)
-		opts := Options{Engine: engine, Faults: spec, OnMISDelta: vf.ObserveRound}
-		if engine == EngineColumnar || engine == EngineSparse {
-			opts.Bulk = bulk
-		}
-		res, err := Run(g, factory, rng.New(9), opts)
+		opts := Options{Faults: spec, OnMISDelta: vf.ObserveRound}
+		res, err := r.run(g, factory, rng.New(9), opts)
 		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%v: %v", r.name, err)
 		}
 		for v := range res.InMIS {
 			if res.InMIS[v] != vf.InMIS(v) {
-				t.Fatalf("%v: verifier membership diverges from the engine at node %d", engine, v)
+				t.Fatalf("%v: verifier membership diverges from the engine at node %d", r.name, v)
 			}
 		}
 		if err := vf.Check(nil); err != nil {
-			t.Fatalf("%v: clean-channel adversarial run failed verification: %v", engine, err)
+			t.Fatalf("%v: clean-channel adversarial run failed verification: %v", r.name, err)
 		}
 		if vf.LastChangeRound() == 0 || vf.LastChangeRound() > res.Rounds {
-			t.Fatalf("%v: rounds-to-stable %d outside (0, %d]", engine, vf.LastChangeRound(), res.Rounds)
+			t.Fatalf("%v: rounds-to-stable %d outside (0, %d]", r.name, vf.LastChangeRound(), res.Rounds)
 		}
 		if err := graph.VerifyMIS(g, res.InMIS); err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%v: %v", r.name, err)
 		}
 	}
 }
@@ -192,36 +234,32 @@ func TestFaultResetRemovesMISMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{EngineScalar, EngineBitset, EngineColumnar, EngineSparse} {
+	for _, r := range runners(bulk) {
 		var left []int
 		opts := Options{
-			Engine: engine,
 			Faults: spec,
 			OnMISDelta: func(round int, joined, l []int) {
 				left = append(left, l...)
 			},
 		}
-		if engine == EngineColumnar || engine == EngineSparse {
-			opts.Bulk = bulk
-		}
-		res, err := Run(g, factory, rng.New(2), opts)
+		res, err := r.run(g, factory, rng.New(2), opts)
 		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%v: %v", r.name, err)
 		}
 		// Node 1 joined alone (the only awake node), so the reset at
 		// round 15 must have revoked a membership; alone again, it
 		// rejoins, and the leaves waking at 30 get dominated.
 		if len(left) == 0 || left[0] != 1 {
-			t.Fatalf("%v: expected node 1 to leave the set on reset, left=%v", engine, left)
+			t.Fatalf("%v: expected node 1 to leave the set on reset, left=%v", r.name, left)
 		}
 		// The run continues past the reset and still terminates; the
 		// final set must be a valid MIS (node 1 either rejoined or was
 		// dominated by a waking leaf).
 		if err := graph.VerifyMIS(g, res.InMIS); err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%v: %v", r.name, err)
 		}
 		if !res.Terminated {
-			t.Fatalf("%v: run did not terminate", engine)
+			t.Fatalf("%v: run did not terminate", r.name)
 		}
 	}
 }
@@ -239,37 +277,33 @@ func TestFaultResetAfterConvergenceStillFires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{EngineScalar, EngineBitset, EngineColumnar, EngineSparse} {
+	for _, r := range runners(bulk) {
 		var left []int
 		opts := Options{
-			Engine: engine,
 			Faults: spec,
 			OnMISDelta: func(round int, joined, l []int) {
 				left = append(left, l...)
 			},
 		}
-		if engine == EngineColumnar || engine == EngineSparse {
-			opts.Bulk = bulk
-		}
-		res, err := Run(g, factory, rng.New(4), opts)
+		res, err := r.run(g, factory, rng.New(4), opts)
 		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%v: %v", r.name, err)
 		}
 		if res.Rounds < 70 {
-			t.Fatalf("%v: run ended at round %d, before the scheduled reset at 70", engine, res.Rounds)
+			t.Fatalf("%v: run ended at round %d, before the scheduled reset at 70", r.name, res.Rounds)
 		}
 		// Whatever node 0 was (member or dominated), the run survived the
 		// reset and re-converged to a valid MIS.
 		if !res.Terminated {
-			t.Fatalf("%v: not terminated", engine)
+			t.Fatalf("%v: not terminated", r.name)
 		}
 		if err := graph.VerifyMIS(g, res.InMIS); err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%v: %v", r.name, err)
 		}
 		// If node 0 had joined before the outage, its departure must have
 		// been reported; either way the reset fired (rounds prove it).
 		if res.InMIS[0] && len(left) == 0 && res.Rounds < 70 {
-			t.Fatalf("%v: reset did not fire", engine)
+			t.Fatalf("%v: reset did not fire", r.name)
 		}
 	}
 }
@@ -354,14 +388,11 @@ func TestFaultDownMISMemberSilent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reference *Result
-	for _, engine := range []Engine{EngineScalar, EngineBitset, EngineColumnar, EngineSparse} {
-		opts := Options{Engine: engine, Faults: spec}
-		if engine == EngineColumnar || engine == EngineSparse {
-			opts.Bulk = bulk
-		}
-		res, err := Run(g, factory, rng.New(3), opts)
+	for _, r := range runners(bulk) {
+		opts := Options{Faults: spec}
+		res, err := r.run(g, factory, rng.New(3), opts)
 		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%v: %v", r.name, err)
 		}
 		if reference == nil {
 			reference = res
@@ -372,6 +403,6 @@ func TestFaultDownMISMemberSilent(t *testing.T) {
 			}
 			continue
 		}
-		assertIdenticalNamed(t, reference, res, "scalar", engine.String())
+		assertIdenticalNamed(t, reference, res, "oracle", r.name)
 	}
 }

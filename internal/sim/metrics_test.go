@@ -50,22 +50,35 @@ func TestMetricsDoNotPerturbResults(t *testing.T) {
 func TestEngineMetricsRecording(t *testing.T) {
 	g := graph.GNP(300, 0.03, rng.New(5))
 	for _, tc := range []struct {
-		engine Engine
-		shards int
+		engine  Engine
+		shards  int
+		perNode bool
+		loss    float64
 	}{
-		{EngineScalar, 1},
-		{EngineBitset, 1},
-		{EngineColumnar, 1},
-		{EngineColumnar, 3},
-		{EngineSparse, 3},
+		{EngineColumnar, 1, true, 0},
+		{EngineSparse, 1, true, 0},
+		{EngineColumnar, 1, false, 0},
+		{EngineColumnar, 3, false, 0},
+		{EngineSparse, 3, false, 0},
+		{EngineSparse, 3, false, 0.1},
 	} {
-		t.Run(fmt.Sprintf("%v/shards=%d", tc.engine, tc.shards), func(t *testing.T) {
+		name := fmt.Sprintf("%v/shards=%d", tc.engine, tc.shards)
+		if tc.perNode {
+			name = fmt.Sprintf("%v-pernode/shards=%d", tc.engine, tc.shards)
+		}
+		if tc.loss > 0 {
+			name += "/lossy"
+		}
+		t.Run(name, func(t *testing.T) {
 			factory, bulk, err := mis.NewFactories(mis.Spec{Name: mis.NameFeedback})
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tc.perNode {
+				bulk = nil
+			}
 			m := &obs.EngineMetrics{}
-			opts := Options{Engine: tc.engine, Shards: tc.shards, Bulk: bulk, Metrics: m}
+			opts := Options{Engine: tc.engine, Shards: tc.shards, Bulk: bulk, Metrics: m, BeepLoss: tc.loss}
 			res, err := Run(g, factory, rng.New(17), opts)
 			if err != nil {
 				t.Fatal(err)
@@ -92,15 +105,17 @@ func TestEngineMetricsRecording(t *testing.T) {
 			if res.TotalBeeps > 0 && m.PropagateBits.Value() == 0 {
 				t.Fatal("beeps were emitted but no delivered bits recorded")
 			}
-			// Non-fused engines attribute real time to the draw phase.
 			if m.Phase[obs.PhaseEligibleDraw].Sum() == 0 {
 				t.Fatal("eligible_draw phase recorded zero total time")
 			}
-			if tc.engine == EngineColumnar || tc.engine == EngineSparse {
-				plans := m.PushExchanges.Value() + m.PullExchanges.Value()
-				if want := uint64(2 * res.Rounds); plans != want {
-					t.Fatalf("%d exchange plans recorded, want %d (two per round)", plans, want)
-				}
+			// Both exchanges are planned each round, except a lossy first
+			// exchange, which is one serial walk with no plan.
+			want := uint64(2 * res.Rounds)
+			if tc.loss > 0 {
+				want = uint64(res.Rounds)
+			}
+			if plans := m.PushExchanges.Value() + m.PullExchanges.Value(); plans != want {
+				t.Fatalf("%d exchange plans recorded, want %d", plans, want)
 			}
 			totals := m.PhaseTotals()
 			if len(totals) != int(obs.PhaseCount) {

@@ -27,6 +27,7 @@ var noallocAnnotated = []string{
 	"*columnarLoop.drawBeeps",
 	"*columnarLoop.exchange",
 	"*columnarLoop.exchangeShard",
+	"*columnarLoop.lossyExchange", // the lossy alloc-test rows
 	"*columnarLoop.observe",
 	"*columnarLoop.observeShard",
 	"*columnarLoop.runPool",

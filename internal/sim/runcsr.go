@@ -1,10 +1,7 @@
 package sim
 
 import (
-	"fmt"
-
 	"beepmis/internal/beep"
-	"beepmis/internal/fault"
 	"beepmis/internal/graph"
 	"beepmis/internal/rng"
 )
@@ -13,7 +10,8 @@ import (
 // setup: a node count, per-node degrees, and the maximum degree. Both
 // *graph.Graph and *graph.CSR satisfy it, which is what lets the
 // sparse engine run a direct-to-CSR graph without a backing Graph —
-// everything else the loop touches goes through the bulkPropagator.
+// everything else the loop touches goes through the bulkPropagator
+// and, for a lossy first exchange, the adjacency rows.
 type topology interface {
 	N() int
 	Degree(v int) int
@@ -29,73 +27,24 @@ var (
 // compressed-sparse-row form — the construction target of the
 // direct-to-CSR pipeline (graph.CSRBuilder, the RMAT/configmodel
 // generators, the file loaders). When the run resolves to the sparse
-// engine (an explicit EngineSparse pin, or EngineAuto on a graph whose
-// matrix exceeds the memory budget), the round loop executes over c
-// itself and no adjacency-Graph is ever materialised. Any other engine
-// needs a representation the CSR cannot provide (matrix rows, per-node
-// neighbour walks), so the run delegates to Run over graph.FromCSR(c)
-// — a zero-copy view whose adjacency slices alias c's storage, so even
-// that path allocates only one slice header per vertex.
+// engine (an explicit EngineSparse pin, or EngineAuto on a graph too
+// sparse or too large for the dense matrix), the round loop executes
+// over c itself and no adjacency-Graph is ever materialised. The
+// columnar engine needs matrix rows, which it builds from
+// graph.FromCSR(c) — a zero-copy view whose adjacency slices alias c's
+// storage, so that path allocates only one slice header per vertex
+// beyond the matrix.
 //
 // Results are bit-identical to Run(graph.FromCSR(c), …) with the same
 // arguments, for every engine and shard count.
 func RunCSR(c *graph.CSR, factory beep.Factory, master *rng.Source, opts Options) (*Result, error) {
-	if opts.BeepLoss < 0 || opts.BeepLoss >= 1 {
-		return nil, fmt.Errorf("sim: beep loss %v outside [0,1)", opts.BeepLoss)
-	}
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("sim: Shards %d negative (0 = GOMAXPROCS, 1 = serial)", opts.Shards)
-	}
-	if opts.MemoryBudget < 0 {
-		return nil, fmt.Errorf("sim: MemoryBudget %d negative (0 = default %d bytes)", opts.MemoryBudget, DefaultMemoryBudget)
-	}
-	engine := opts.Engine
-	if engine == EngineAuto {
-		engine = ResolveEngineFromCounts(c.N(), c.M(), opts.Bulk != nil, opts.BeepLoss, opts.MemoryBudget)
-	}
-	if engine != EngineSparse {
-		return Run(graph.FromCSR(c), factory, master, opts)
-	}
-	if opts.BeepLoss > 0 {
-		return nil, fmt.Errorf("sim: engine %v does not support BeepLoss (use scalar or auto)", engine)
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultMaxRounds
-	}
-	n := c.N()
-	if opts.WakeAt != nil && len(opts.WakeAt) != n {
-		return nil, fmt.Errorf("sim: WakeAt has %d entries for %d nodes", len(opts.WakeAt), n)
-	}
-	if err := ValidateCrashes(n, opts.CrashAtRound); err != nil {
+	cfg, err := prepare(c, c.M(), master, opts)
+	if err != nil {
 		return nil, err
 	}
-	fs := opts.Faults
-	if !fs.Enabled() {
-		fs = nil
+	if cfg.engine == EngineSparse {
+		return runColumnar(c, master, cfg, c, c.Row, factory)
 	}
-	if fs != nil {
-		if err := fs.Validate(n); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		if err := fs.ValidateAgainstCrashes(opts.CrashAtRound); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		if err := fs.ValidateAgainstRounds(maxRounds); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		if fs.Wake != nil {
-			if opts.WakeAt != nil {
-				return nil, fmt.Errorf("sim: Faults.Wake conflicts with an explicit WakeAt schedule (pick one)")
-			}
-			// The CSR satisfies fault.Topology directly, so even wake
-			// resolution needs no Graph.
-			opts.WakeAt = fault.ResolveWake(fs.Wake, c, master)
-		}
-	}
-	bulkFactory := opts.Bulk
-	if bulkFactory == nil {
-		bulkFactory = perNodeBulkFactory(factory)
-	}
-	return runColumnar(c, master, opts, maxRounds, c, bulkFactory, newFaultPlan(fs))
+	g := graph.FromCSR(c)
+	return runColumnar(g, master, cfg, g.Matrix(), g.Neighbors, factory)
 }

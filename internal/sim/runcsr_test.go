@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"beepmis/internal/fault"
@@ -11,9 +12,10 @@ import (
 )
 
 // TestRunCSREquivalence is RunCSR's contract test: for every engine and
-// shard count, RunCSR(c, …) must be bit-identical to Run over the
-// adjacency view of the same CSR — the sparse path runs the CSR
-// directly, the rest delegate, and neither may change a single field.
+// shard count, with and without per-edge loss, RunCSR(c, …) must be
+// bit-identical to Run over the adjacency view of the same CSR — the
+// sparse path runs the CSR directly, the columnar one its FromCSR
+// view, and neither may change a single field.
 func TestRunCSREquivalence(t *testing.T) {
 	c, err := graph.RMATCSR(128, 1200, 0.57, 0.19, 0.19, 0.05, rng.New(31), 0)
 	if err != nil {
@@ -28,18 +30,23 @@ func TestRunCSREquivalence(t *testing.T) {
 		engine Engine
 		shards []int
 		bulk   bool
+		loss   float64
 	}{
-		{EngineScalar, []int{0}, false},
-		{EngineBitset, []int{0}, false},
-		{EngineSparse, []int{1, 3, 0}, false}, // per-node adapter path
-		{EngineColumnar, []int{1, 3, 0}, true},
-		{EngineSparse, []int{1, 3, 0}, true},
-		{EngineAuto, []int{0}, true},
+		{EngineColumnar, []int{1, 3, 0}, false, 0}, // per-node adapter path
+		{EngineSparse, []int{1, 3, 0}, false, 0},
+		{EngineColumnar, []int{1, 3, 0}, true, 0},
+		{EngineSparse, []int{1, 3, 0}, true, 0},
+		{EngineAuto, []int{0}, true, 0},
+		{EngineColumnar, []int{1, 3}, true, 0.1},
+		{EngineSparse, []int{1, 3}, false, 0.1},
 	} {
 		for _, shards := range tc.shards {
 			name := fmt.Sprintf("%v/shards=%d/bulk=%v", tc.engine, shards, tc.bulk)
+			if tc.loss > 0 {
+				name += "/lossy"
+			}
 			t.Run(name, func(t *testing.T) {
-				opts := Options{Engine: tc.engine, Shards: shards}
+				opts := Options{Engine: tc.engine, Shards: shards, BeepLoss: tc.loss}
 				if tc.bulk {
 					opts.Bulk = bulk
 				}
@@ -52,6 +59,9 @@ func TestRunCSREquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertIdenticalNamed(t, want, got, "Run(FromCSR)", "RunCSR")
+				if tc.loss > 0 {
+					return // loss may break independence
+				}
 				if err := graph.VerifyMIS(graph.FromCSR(c), got.InMIS); err != nil {
 					t.Fatalf("RunCSR result is not a maximal independent set: %v", err)
 				}
@@ -102,7 +112,8 @@ func TestRunCSRValidation(t *testing.T) {
 		{BeepLoss: 1},
 		{Shards: -1},
 		{MemoryBudget: -1},
-		{Engine: EngineSparse, BeepLoss: 0.5},
+		{BeepLoss: math.NaN()},
+		{Engine: EngineBitset},
 		{WakeAt: []int{1, 1}}, // wrong length for n=4
 		{CrashAtRound: map[int][]int{1: {99}}},
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -177,7 +178,7 @@ func TestRunMaxRoundsError(t *testing.T) {
 }
 
 func TestRunBeepLossValidation(t *testing.T) {
-	for _, bad := range []float64{-0.1, 1, 1.5} {
+	for _, bad := range []float64{-0.1, 1, 1.5, math.NaN(), math.Inf(1)} {
 		if _, err := Run(graph.Empty(1), feedbackFactory(t), rng.New(1), Options{BeepLoss: bad}); err == nil {
 			t.Fatalf("BeepLoss %v accepted", bad)
 		}
