@@ -280,8 +280,8 @@ func WithShards(shards int) Option {
 }
 
 // WithMemoryBudget caps the bytes the auto engine selection will spend
-// on an adjacency representation (the dense matrix, or the CSR edge
-// array of EngineSparse); 0 (the default) means sim.DefaultMemoryBudget,
+// on the dense matrix of EngineColumnar (EngineSparse is taken when the
+// matrix does not fit); 0 (the default) means sim.DefaultMemoryBudget,
 // 2 GiB. Purely a selection knob: results are bit-identical whichever
 // engine the budget admits. Explicit WithEngine pins ignore it.
 func WithMemoryBudget(bytes int64) Option {

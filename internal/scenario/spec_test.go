@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -82,6 +83,12 @@ func TestParseRejectsMalformed(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+	// JSON cannot spell NaN, but a Spec built in code can.
+	s := mustParse(t, `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback"}`)
+	s.BeepLoss = math.NaN()
+	if _, err := s.Compile(); err == nil || !strings.Contains(err.Error(), "beep_loss") {
+		t.Fatalf("NaN beep_loss: err %v, want a beep_loss rejection", err)
 	}
 }
 
@@ -349,51 +356,25 @@ func TestCompileExpandsSweepDeterministically(t *testing.T) {
 	}
 }
 
+// TestRunDeterministicAcrossWorkersAndEngines: engine, shard, and
+// worker knobs never change report bytes — including per-edge
+// beep_loss, and an algorithm without a bulk kernel (fixed) on the
+// columnar engine.
 func TestRunDeterministicAcrossWorkersAndEngines(t *testing.T) {
-	doc := `{"graph":{"family":"gnp","n":80,"p":0.3},"algorithm":"feedback","trials":6,"seed":5}`
-	var want []byte
-	for _, variant := range []string{
-		doc,
-		`{"graph":{"family":"gnp","n":80,"p":0.3},"algorithm":"feedback","trials":6,"seed":5,"workers":4}`,
-		`{"graph":{"family":"gnp","n":80,"p":0.3},"algorithm":"feedback","trials":6,"seed":5,"engine":"columnar"}`,
-		`{"graph":{"family":"gnp","n":80,"p":0.3},"algorithm":"feedback","trials":6,"seed":5,"engine":"columnar","shards":3}`,
-		`{"graph":{"family":"gnp","n":80,"p":0.3},"algorithm":"feedback","trials":6,"seed":5,"engine":"sparse","shards":3}`,
-		`{"graph":{"family":"gnp","n":80,"p":0.3},"algorithm":"feedback","trials":6,"seed":5,"engine":"sparse","workers":2}`,
-	} {
-		c, err := mustParse(t, variant).Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := Run(context.Background(), c, RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := rep.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = b
-			continue
-		}
-		if string(b) != string(want) {
-			t.Fatalf("variant %s produced different report bytes; engines/workers/shards must not affect results", variant)
-		}
-	}
-}
-
-// TestRunLossAndKernelLessAcrossEngines extends the determinism
-// contract to the two configurations that used to be pinned to one
-// engine: per-edge beep_loss, and an algorithm without a bulk kernel
-// (fixed) on the columnar engine. Every engine pin must produce the
-// same report bytes as auto.
-func TestRunLossAndKernelLessAcrossEngines(t *testing.T) {
 	for _, base := range []string{
+		`{"graph":{"family":"gnp","n":80,"p":0.3},"algorithm":"feedback","trials":6,"seed":5`,
 		`{"graph":{"family":"gnp","n":90,"p":0.2},"algorithm":"feedback","trials":4,"seed":8,"beep_loss":0.15`,
 		`{"graph":{"family":"gnp","n":90,"p":0.2},"algorithm":"fixed","fixed_p":0.2,"max_rounds":400,"trials":4,"seed":8`,
 	} {
 		var want []byte
-		for _, knobs := range []string{``, `,"engine":"columnar"`, `,"engine":"columnar","shards":3`, `,"engine":"sparse","shards":2`} {
+		for _, knobs := range []string{
+			``,
+			`,"workers":4`,
+			`,"engine":"columnar"`,
+			`,"engine":"columnar","shards":3`,
+			`,"engine":"sparse","shards":3`,
+			`,"engine":"sparse","workers":2`,
+		} {
 			c, err := mustParse(t, base+knobs+`}`).Compile()
 			if err != nil {
 				t.Fatal(err)
@@ -411,7 +392,7 @@ func TestRunLossAndKernelLessAcrossEngines(t *testing.T) {
 				continue
 			}
 			if string(b) != string(want) {
-				t.Fatalf("%s%s}: report bytes differ from auto", base, knobs)
+				t.Fatalf("%s%s}: report bytes differ; engines/workers/shards must not affect results", base, knobs)
 			}
 		}
 	}

@@ -34,7 +34,6 @@ const (
 	// word-parallel delivery to win, EngineSparse otherwise. This is
 	// the default. See ResolveEngine.
 	EngineAuto Engine = iota
-	_                 // reserved: the retired scalar engine's value
 	// EngineBitset is retired: Run and RunCSR reject it. EngineColumnar
 	// replaces it, with or without a bulk kernel.
 	EngineBitset

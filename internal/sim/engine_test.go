@@ -277,7 +277,7 @@ func TestEngineColumnarAcceptsNilBulk(t *testing.T) {
 }
 
 // TestEngineBitsetRejectsBeepLoss: EngineBitset stays declared but no
-// longer runs, and the unused value of the retired scalar engine is an
+// longer runs, with or without BeepLoss, and an undeclared value is an
 // unknown engine. Per-edge BeepLoss runs on both remaining engines.
 func TestEngineBitsetRejectsBeepLoss(t *testing.T) {
 	g := graph.GNP(50, 0.5, rng.New(1))
@@ -293,8 +293,8 @@ func TestEngineBitsetRejectsBeepLoss(t *testing.T) {
 			t.Fatalf("RunCSR %+v: got err %v, want retired-engine rejection", opts, err)
 		}
 	}
-	if _, err := Run(g, factory, rng.New(1), Options{Engine: EngineBitset - 1}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
-		t.Fatalf("engine value 1: got err %v, want unknown-engine rejection", err)
+	if _, err := Run(g, factory, rng.New(1), Options{Engine: EngineSparse + 1}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+		t.Fatalf("undeclared engine: got err %v, want unknown-engine rejection", err)
 	}
 	for _, engine := range []Engine{EngineAuto, EngineColumnar, EngineSparse} {
 		if _, err := Run(g, factory, rng.New(1), Options{Engine: engine, BeepLoss: 0.1}); err != nil {

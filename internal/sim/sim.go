@@ -83,17 +83,16 @@ type Options struct {
 	// adapter that draws from the same per-node streams in the same
 	// order, so results are identical either way; the kernel is faster.
 	Bulk beep.BulkFactory
-	// Shards bounds the goroutines the columnar and sparse engines fan
-	// propagation out to, partitioned by destination word ranges. 0
-	// means GOMAXPROCS; 1 keeps propagation on the calling goroutine.
-	// Results are bit-identical for every value — workers own disjoint
-	// destination words and OR is order-independent.
+	// Shards bounds the goroutines both engines fan propagation out
+	// to, partitioned by destination word ranges. 0 means GOMAXPROCS;
+	// 1 keeps propagation on the calling goroutine. Results are
+	// bit-identical for every value — workers own disjoint destination
+	// words and OR is order-independent.
 	Shards int
-	// MemoryBudget caps the bytes EngineAuto will spend on an adjacency
-	// representation: the packed matrix is taken only when it fits, the
-	// CSR form only when its edge array does. 0 means
-	// DefaultMemoryBudget (2 GiB). Explicit engine pins ignore it — the
-	// caller knows their machine.
+	// MemoryBudget caps the bytes EngineAuto will spend on the packed
+	// matrix: the matrix is taken only when it fits, the CSR form
+	// otherwise. 0 means DefaultMemoryBudget (2 GiB). Explicit engine
+	// pins ignore it — the caller knows their machine.
 	MemoryBudget int64
 	// BeepLoss is the probability that a given neighbour fails to hear a
 	// given beep in the first exchange. Each beeper→listener pair draws
