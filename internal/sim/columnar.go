@@ -321,7 +321,7 @@ func (l *columnarLoop) observe(mask graph.Bitset, active int) {
 // loop touches is allocated before round 1 — the steady-state round
 // path performs no heap allocations at any shard count (enforced by
 // TestRoundLoopAllocations).
-func runColumnar(g topology, master *rng.Source, cfg *runConfig, prop bulkPropagator, rows func(v int) []int32, factory beep.Factory) (*Result, error) {
+func runColumnar(g topology, master *rng.Source, cfg runConfig, prop bulkPropagator, rows func(v int) []int32, factory beep.Factory) (*Result, error) {
 	opts, maxRounds, plan := cfg.opts, cfg.maxRounds, cfg.plan
 	bulkFactory := opts.Bulk
 	if bulkFactory == nil {

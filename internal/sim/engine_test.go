@@ -29,14 +29,9 @@ func runAllEngines(t *testing.T, g *graph.Graph, spec mis.Spec, seed uint64, opt
 	return runMatrix(t, g, spec, seed, opts, false)
 }
 
-// runAllEnginesCapped is runAllEngines for configurations that may hit
-// the round cap: a run that ends in ErrTooManyRounds contributes its
-// partial Result, which must match like any other.
-func runAllEnginesCapped(t *testing.T, g *graph.Graph, spec mis.Spec, seed uint64, opts Options) []engineRun {
-	t.Helper()
-	return runMatrix(t, g, spec, seed, opts, true)
-}
-
+// runMatrix is runAllEngines; with capped set, a run that ends in
+// ErrTooManyRounds contributes its partial Result, which must match
+// like any other.
 func runMatrix(t *testing.T, g *graph.Graph, spec mis.Spec, seed uint64, opts Options, capped bool) []engineRun {
 	t.Helper()
 	factory, bulk, err := mis.NewFactories(spec)

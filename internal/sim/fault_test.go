@@ -102,17 +102,18 @@ func TestEngineEquivalenceBeepLoss(t *testing.T) {
 	specs := []mis.Spec{{Name: mis.NameFeedback}, {Name: mis.NameAfek}, {Name: mis.NameFixed, FixedP: 0.3}}
 	for _, tg := range graphs {
 		for _, extra := range extras {
-			for _, algo := range specs {
-				for _, loss := range []float64{0.05, 0.4} {
-					opts := extra.opts
-					opts.BeepLoss = loss
-					if opts.MaxRounds == 0 && algo.Name == mis.NameFixed {
-						opts.MaxRounds = 400
+			t.Run(tg.name+"/"+extra.name, func(t *testing.T) {
+				for _, algo := range specs {
+					for _, loss := range []float64{0.05, 0.4} {
+						opts := extra.opts
+						opts.BeepLoss = loss
+						if opts.MaxRounds == 0 && algo.Name == mis.NameFixed {
+							opts.MaxRounds = 400
+						}
+						assertAllIdentical(t, runMatrix(t, tg.g, algo, 3, opts, true))
 					}
-					runs := runAllEnginesCapped(t, tg.g, algo, 3, opts)
-					assertAllIdentical(t, runs)
 				}
-			}
+			})
 		}
 	}
 }

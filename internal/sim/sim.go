@@ -209,16 +209,16 @@ type runConfig struct {
 // opts against a graph of t.N() nodes and m edges, resolves EngineAuto,
 // and resolves a declarative wake schedule into per-node rounds once,
 // up front, so every engine executes the identical WakeAt.
-func prepare(t topology, m int, master *rng.Source, opts Options) (*runConfig, error) {
+func prepare(t topology, m int, master *rng.Source, opts Options) (runConfig, error) {
 	// Written so NaN fails too, like fault.Spec's probabilities.
 	if !(opts.BeepLoss >= 0 && opts.BeepLoss < 1) {
-		return nil, fmt.Errorf("sim: beep loss %v outside [0,1)", opts.BeepLoss)
+		return runConfig{}, fmt.Errorf("sim: beep loss %v outside [0,1)", opts.BeepLoss)
 	}
 	if opts.Shards < 0 {
-		return nil, fmt.Errorf("sim: Shards %d negative (0 = GOMAXPROCS, 1 = serial)", opts.Shards)
+		return runConfig{}, fmt.Errorf("sim: Shards %d negative (0 = GOMAXPROCS, 1 = serial)", opts.Shards)
 	}
 	if opts.MemoryBudget < 0 {
-		return nil, fmt.Errorf("sim: MemoryBudget %d negative (0 = default %d bytes)", opts.MemoryBudget, DefaultMemoryBudget)
+		return runConfig{}, fmt.Errorf("sim: MemoryBudget %d negative (0 = default %d bytes)", opts.MemoryBudget, DefaultMemoryBudget)
 	}
 	n := t.N()
 	engine := opts.Engine
@@ -227,19 +227,19 @@ func prepare(t topology, m int, master *rng.Source, opts Options) (*runConfig, e
 		engine = ResolveEngineFromCounts(n, m, opts.MemoryBudget)
 	case EngineColumnar, EngineSparse:
 	case EngineBitset:
-		return nil, fmt.Errorf("sim: engine %v is retired (use %v or %v)", engine, EngineColumnar, EngineAuto)
+		return runConfig{}, fmt.Errorf("sim: engine %v is retired (use %v or %v)", engine, EngineColumnar, EngineAuto)
 	default:
-		return nil, fmt.Errorf("sim: unknown engine %v", engine)
+		return runConfig{}, fmt.Errorf("sim: unknown engine %v", engine)
 	}
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
 	if opts.WakeAt != nil && len(opts.WakeAt) != n {
-		return nil, fmt.Errorf("sim: WakeAt has %d entries for %d nodes", len(opts.WakeAt), n)
+		return runConfig{}, fmt.Errorf("sim: WakeAt has %d entries for %d nodes", len(opts.WakeAt), n)
 	}
 	if err := ValidateCrashes(n, opts.CrashAtRound); err != nil {
-		return nil, err
+		return runConfig{}, err
 	}
 	fs := opts.Faults
 	if !fs.Enabled() {
@@ -247,22 +247,22 @@ func prepare(t topology, m int, master *rng.Source, opts Options) (*runConfig, e
 	}
 	if fs != nil {
 		if err := fs.Validate(n); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
+			return runConfig{}, fmt.Errorf("sim: %w", err)
 		}
 		if err := fs.ValidateAgainstCrashes(opts.CrashAtRound); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
+			return runConfig{}, fmt.Errorf("sim: %w", err)
 		}
 		if err := fs.ValidateAgainstRounds(maxRounds); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
+			return runConfig{}, fmt.Errorf("sim: %w", err)
 		}
 		if fs.Wake != nil {
 			if opts.WakeAt != nil {
-				return nil, fmt.Errorf("sim: Faults.Wake conflicts with an explicit WakeAt schedule (pick one)")
+				return runConfig{}, fmt.Errorf("sim: Faults.Wake conflicts with an explicit WakeAt schedule (pick one)")
 			}
 			opts.WakeAt = fault.ResolveWake(fs.Wake, t, master)
 		}
 	}
-	return &runConfig{opts: opts, engine: engine, maxRounds: maxRounds, plan: newFaultPlan(fs)}, nil
+	return runConfig{opts: opts, engine: engine, maxRounds: maxRounds, plan: newFaultPlan(fs)}, nil
 }
 
 // ValidateCrashes rejects malformed Options.CrashAtRound schedules up
