@@ -54,12 +54,7 @@ type columnarLoop struct {
 
 	shardBeeps []int // per-shard beep tallies, summed after the draw phase
 
-	// Per-edge beep loss (Options.BeepLoss): lossSrc is nil when the
-	// first exchange is loss-free; rows yields each vertex's sorted
-	// adjacency row.
-	lossSrc *rng.Source
-	loss    float64
-	rows    func(v int) []int32
+	lossy *lossyWalk // nil when the first exchange is loss-free
 
 	// Method values for the pool, created once (a method value
 	// evaluated inline would allocate its closure on every round).
@@ -258,21 +253,44 @@ func (l *columnarLoop) exchange(dst, eligible, emitters graph.Bitset) {
 	}
 }
 
+// lossyWalk is the per-edge Options.BeepLoss state of a run: the loss
+// stream, the loss probability, and the sorted adjacency rows whose
+// order the draws follow.
+type lossyWalk struct {
+	src  *rng.Source
+	p    float64
+	rows func(v int) []int32
+}
+
+// newLossyWalk reads the rows of the backend the run uses: the CSR's
+// on the sparse engine, the Graph's on the columnar one (which always
+// runs over a *graph.Graph, as the matrix is built from one).
+func newLossyWalk(master *rng.Source, p float64, g topology, prop bulkPropagator) *lossyWalk {
+	w := &lossyWalk{src: master.Stream(faultStreamID), p: p}
+	if c, ok := prop.(*graph.CSR); ok {
+		w.rows = c.Row
+	} else {
+		w.rows = g.(*graph.Graph).Neighbors
+	}
+	return w
+}
+
 // lossyExchange delivers a first exchange under per-edge beep loss:
 // one serial walk over the emitters in ascending order, then over each
-// emitter's adjacency row, drawing one Bernoulli(loss) per edge from the
+// emitter's adjacency row, drawing one Bernoulli(p) per edge from the
 // single loss stream. A fixed draw order is what makes the result
 // independent of the shard count, so this walk never fans out.
 //
 //misvet:noalloc
 func (l *columnarLoop) lossyExchange(dst, emitters graph.Bitset) {
+	lw := l.lossy
 	dst.Zero()
 	for wi, w := range emitters {
 		for w != 0 {
 			v := wi<<6 | mathbits.TrailingZeros64(w)
 			w &= w - 1
-			for _, u := range l.rows(v) {
-				if !l.lossSrc.Bernoulli(l.loss) {
+			for _, u := range lw.rows(v) {
+				if !lw.src.Bernoulli(lw.p) {
 					dst.Set(int(u))
 				}
 			}
@@ -308,8 +326,7 @@ func (l *columnarLoop) observe(mask graph.Bitset, active int) {
 // AndNot (beeped &^ heard), and both exchanges are sharded
 // destination-range OR passes over prop's adjacency representation —
 // the packed matrix for EngineColumnar, the CSR edge arrays for
-// EngineSparse. rows yields the same adjacency as sorted neighbour
-// lists, for the per-edge draws of a lossy first exchange. Per round it
+// EngineSparse. Per round it
 // does O(n/64) word operations plus one rng draw per eligible node, and
 // it is bit-identical to a per-node scalar walk of the time step (the
 // reference the equivalence suites check it against): the kernel draws
@@ -321,7 +338,7 @@ func (l *columnarLoop) observe(mask graph.Bitset, active int) {
 // loop touches is allocated before round 1 — the steady-state round
 // path performs no heap allocations at any shard count (enforced by
 // TestRoundLoopAllocations).
-func runColumnar(g topology, master *rng.Source, cfg runConfig, prop bulkPropagator, rows func(v int) []int32, factory beep.Factory) (*Result, error) {
+func runColumnar(g topology, master *rng.Source, cfg runConfig, prop bulkPropagator, factory beep.Factory) (*Result, error) {
 	opts, maxRounds, plan := cfg.opts, cfg.maxRounds, cfg.plan
 	bulkFactory := opts.Bulk
 	if bulkFactory == nil {
@@ -386,9 +403,7 @@ func runColumnar(g topology, master *rng.Source, cfg runConfig, prop bulkPropaga
 	loop := newColumnarLoop(prop, bulk, streams, res, beeped, heard, shards, metrics)
 	defer loop.close()
 	if opts.BeepLoss > 0 {
-		loop.lossSrc = master.Stream(faultStreamID)
-		loop.loss = opts.BeepLoss
-		loop.rows = rows
+		loop.lossy = newLossyWalk(master, opts.BeepLoss, g, prop)
 	}
 	clock := phaseClock{m: metrics}
 
@@ -522,7 +537,7 @@ func runColumnar(g topology, master *rng.Source, cfg runConfig, prop bulkPropaga
 		if metrics != nil {
 			metrics.Frontier.Observe(int64(beepCount + res.PersistentBeeps - prevPersist))
 		}
-		if loop.lossSrc != nil {
+		if loop.lossy != nil {
 			loop.lossyExchange(heard, emitters)
 		} else {
 			loop.exchange(heard, eligible, emitters)

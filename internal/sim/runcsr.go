@@ -11,7 +11,7 @@ import (
 // *graph.Graph and *graph.CSR satisfy it, which is what lets the
 // sparse engine run a direct-to-CSR graph without a backing Graph —
 // everything else the loop touches goes through the bulkPropagator
-// and, for a lossy first exchange, the adjacency rows.
+// (or, for a lossy first exchange, the CSR's own rows).
 type topology interface {
 	N() int
 	Degree(v int) int
@@ -43,8 +43,8 @@ func RunCSR(c *graph.CSR, factory beep.Factory, master *rng.Source, opts Options
 		return nil, err
 	}
 	if cfg.engine == EngineSparse {
-		return runColumnar(c, master, cfg, c, c.Row, factory)
+		return runColumnar(c, master, cfg, c, factory)
 	}
 	g := graph.FromCSR(c)
-	return runColumnar(g, master, cfg, g.Matrix(), g.Neighbors, factory)
+	return runColumnar(g, master, cfg, g.Matrix(), factory)
 }

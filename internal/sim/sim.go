@@ -188,10 +188,9 @@ func Run(g *graph.Graph, factory beep.Factory, master *rng.Source, opts Options)
 		return nil, err
 	}
 	if cfg.engine == EngineSparse {
-		c := g.CSR()
-		return runColumnar(g, master, cfg, c, c.Row, factory)
+		return runColumnar(g, master, cfg, g.CSR(), factory)
 	}
-	return runColumnar(g, master, cfg, g.Matrix(), g.Neighbors, factory)
+	return runColumnar(g, master, cfg, g.Matrix(), factory)
 }
 
 // runConfig is a run's validated options with the engine resolved and
